@@ -38,4 +38,6 @@ std::string cpu_feature_summary() {
   return s;
 }
 
+float mul_add_as_written(float a, float b, float c) { return a * b + c; }
+
 }  // namespace enw::core

@@ -25,4 +25,10 @@ const CpuFeatures& cpu_features();
 /// "avx2=1 fma=1 avx512f=0 avx512bw=0" — for logs and bench metadata.
 std::string cpu_feature_summary();
 
+/// a*b + c as the library's own code rounds it. Under the tree's one
+/// contraction rule (-ffp-contract=off, src/core/CMakeLists.txt) the product
+/// is rounded before the add; a build that drops the rule on an FMA target
+/// fuses the two. A canary for the rule, checked in tests/test_core.cpp.
+float mul_add_as_written(float a, float b, float c);
+
 }  // namespace enw::core

@@ -1,6 +1,7 @@
-// NOTE: compiled with -ffp-contract=off (see CMakeLists): the determinism
-// contract needs the fill (mul) and pool (add) roundings to match the cold
-// gather's mul-then-add exactly, so no loop here may contract into an FMA.
+// NOTE: like every TU, compiled with -ffp-contract=off (the one rule, set on
+// enw_core): the determinism contract needs the fill (mul) and pool (add)
+// roundings to match the cold gather's mul-then-add exactly, so no loop here
+// may contract into an FMA.
 #include "recsys/cached_embedding_table.h"
 
 #include <algorithm>

@@ -14,10 +14,10 @@
 // pooling adds those values in index-list order, which is the same sequence
 // of multiply-then-add roundings the uncached quantized gather performs
 // (s8_axpy for int8, the scalar loop for sub-byte; both mul-then-add, never
-// FMA: these TUs pin -ffp-contract=off). So lookup_sum / lookup_sum_batch
-// return results bitwise-identical to cold().lookup_sum on the same
-// indices, regardless of hit/miss pattern, batch composition, thread count,
-// or kernel backend. Only *speed* depends on cache state, never values.
+// FMA: every TU builds with -ffp-contract=off). So lookup_sum /
+// lookup_sum_batch return results bitwise-identical to cold().lookup_sum on
+// the same indices, regardless of hit/miss pattern, batch composition, thread
+// count, or kernel backend. Only *speed* depends on cache state, never values.
 //
 // Batch-aware prefetch (lookup_sum_batch): the ragged index lists are
 // pre-scanned and deduplicated, the LRU metadata is touched once per unique

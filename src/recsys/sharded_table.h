@@ -34,8 +34,8 @@
 // re-partitioning) changes WHERE a row lives, never its bits. lookup_sum
 // fetches each referenced row from its owner shard and accumulates in
 // index-list order (the same mul-then-add rounding sequence as the
-// unsharded gather, pinned by -ffp-contract=off on this TU), so pooled
-// outputs are bitwise-identical to QuantizedEmbeddingTable(source,
+// unsharded gather, kept unfused by the tree-wide -ffp-contract=off), so
+// pooled outputs are bitwise-identical to QuantizedEmbeddingTable(source,
 // bits).lookup_sum on the same indices — for ANY shard count, resize
 // history, hit/miss pattern, thread count, or kernel backend.
 // tests/test_embedding_cache.cpp and tests/test_resize.cpp pin this.

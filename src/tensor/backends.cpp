@@ -1,10 +1,10 @@
 // KernelBackend implementations and the runtime registry (core/backend.h).
 //
 // Lives in enw_tensor rather than enw_core because the backends need Matrix
-// and the blocked/simd kernel bodies; core only owns the interface. This TU
-// is built with -ffp-contract=off like the rest of the kernel layer, so the
-// scalar scratch math below (scale * u[r] etc.) rounds exactly once, matching
-// the reference/blocked conventions.
+// and the blocked/simd kernel bodies; core only owns the interface. Like
+// every TU it is built with -ffp-contract=off (src/core/CMakeLists.txt), so
+// the scalar scratch math below (scale * u[r] etc.) rounds exactly once,
+// matching the reference/blocked conventions.
 
 #include "core/backend.h"
 

@@ -8,8 +8,8 @@
 // Naming: `*_ref` are the scalar oracles (now with ZeroSkip support so the
 // reference backend honors the same skip contract the public API exposes);
 // `*_blocked` are the cache-blocked, thread-parallel kernels. Both families
-// accumulate strictly in k/sample order with no FMA contraction (their TUs
-// compile with -ffp-contract=off), so ref and blocked are bitwise-identical.
+// accumulate strictly in k/sample order with no FMA contraction (the tree
+// builds with -ffp-contract=off), so ref and blocked are bitwise-identical.
 #pragma once
 
 #include <cstdint>

@@ -15,7 +15,7 @@ namespace enw {
 // These are the textbook scalar triple loops. They define the bitwise ground
 // truth: the blocked kernels below perform the exact same sequence of float
 // operations per output element (accumulation strictly in k/row order, and
-// this TU is built with -ffp-contract=off so no FMA contraction), so
+// no FMA contraction: the tree builds with -ffp-contract=off), so
 // equivalence tests can assert exact equality. The ZeroSkip branches skip the
 // same exactly-zero terms the blocked kernels skip, preserving that identity
 // in skip mode too.

@@ -73,8 +73,8 @@ void qgemm_nt_s32_blocked(const std::int8_t* a8, const std::int8_t* b8,
 
 void s8_axpy_scalar(float* dst, const std::int8_t* codes, float scale,
                     std::size_t n) {
-  // Mul-then-add per element (this TU pins -ffp-contract=off, so it stays
-  // two roundings) — the convention the simd tables match bitwise.
+  // Mul-then-add per element (the tree builds with -ffp-contract=off, so it
+  // stays two roundings) — the convention the simd tables match bitwise.
   for (std::size_t i = 0; i < n; ++i)
     dst[i] += scale * static_cast<float>(codes[i]);
 }

@@ -36,6 +36,15 @@
 #include "testkit/generators.h"
 
 namespace enw {
+namespace core {
+// gtest_discover_tests names each parameterized case after its printed
+// parameter; print a backend as its selection name so the ctest names read
+// `.../blocked` and stay the same across discoveries (a pointer would not).
+static void PrintTo(const KernelBackend* backend, std::ostream* os) {
+  *os << backend->name();
+}
+}  // namespace core
+
 namespace {
 
 using testkit::BackendScope;
@@ -382,12 +391,8 @@ TEST_P(BackendSweepTest, S8AxpyIsBitwiseIdenticalToReference) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllRegistered, BackendSweepTest,
-    ::testing::ValuesIn(core::available_backends()),
-    [](const ::testing::TestParamInfo<const core::KernelBackend*>& info) {
-      return std::string(info.param->name());
-    });
+INSTANTIATE_TEST_SUITE_P(AllRegistered, BackendSweepTest,
+                         ::testing::ValuesIn(core::available_backends()));
 
 // ---------------------------------------------------------------------------
 // Quantized GEMM public API.

@@ -7,6 +7,7 @@
 
 #include "core/bits.h"
 #include "core/check.h"
+#include "core/cpu_features.h"
 #include "core/fixed_point.h"
 #include "core/rng.h"
 
@@ -236,6 +237,26 @@ TEST(Check, ThrowsWithMessage) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("context info"), std::string::npos);
   }
+}
+
+// The tree's one contraction rule (-ffp-contract=off, a usage requirement of
+// enw_core) rounds every a*b + c as written, in test code and library code
+// alike. With a = b = 1+2^-12 the exact product 1+2^-11+2^-24 is a tie that
+// rounds to even, 1+2^-11, so adding c = -(1+2^-11) gives 0; a fused
+// multiply-add keeps the 2^-24. The operands are volatile so the compiler cannot fold the sum. On a
+// target without FMA nothing can fuse and both tests pass under any flags.
+constexpr float kCanaryA = 1.0f + 0x1p-12f;
+constexpr float kCanaryC = -(1.0f + 0x1p-11f);
+
+TEST(FpContraction, TestCodeRoundsMulAddAsWritten) {
+  volatile float a = kCanaryA, b = kCanaryA, c = kCanaryC;
+  const float r = a * b + c;
+  EXPECT_EQ(r, 0.0f);
+}
+
+TEST(FpContraction, LibraryRoundsMulAddAsWritten) {
+  volatile float a = kCanaryA, b = kCanaryA, c = kCanaryC;
+  EXPECT_EQ(core::mul_add_as_written(a, b, c), 0.0f);
 }
 
 }  // namespace

@@ -11,6 +11,14 @@
 #include "tensor/ops.h"
 
 namespace enw {
+namespace nn {
+// gtest_discover_tests names each parameterized case after its printed
+// parameter, so the Fp8FormatTest ctest names read `.../e4m3`.
+static void PrintTo(const Fp8Format& fmt, std::ostream* os) {
+  *os << 'e' << fmt.exponent_bits << 'm' << fmt.mantissa_bits;
+}
+}  // namespace nn
+
 namespace {
 
 // ---------------------------------------------------------------- devices
@@ -19,6 +27,10 @@ struct PresetCase {
   const char* name;
   analog::DevicePreset preset;
 };
+
+// Printed as its preset name, so the ctest names read `.../rram`; the default
+// byte dump of the struct holds a pointer and changes with every process.
+void PrintTo(const PresetCase& c, std::ostream* os) { *os << c.name; }
 
 class DevicePresetTest : public ::testing::TestWithParam<PresetCase> {};
 
@@ -72,10 +84,7 @@ INSTANTIATE_TEST_SUITE_P(
                       PresetCase{"rram", analog::rram_device()},
                       PresetCase{"ecram", analog::ecram_device()},
                       PresetCase{"fefet", analog::fefet_device()},
-                      PresetCase{"pcm", analog::pcm_single_device()}),
-    [](const ::testing::TestParamInfo<PresetCase>& info) {
-      return info.param.name;
-    });
+                      PresetCase{"pcm", analog::pcm_single_device()}));
 
 // ------------------------------------------------------------- ADC sweep
 
@@ -130,11 +139,7 @@ TEST_P(Fp8FormatTest, RoundTripIsIdempotentAndMonotone) {
 
 INSTANTIATE_TEST_SUITE_P(Formats, Fp8FormatTest,
                          ::testing::Values(nn::Fp8Format{4, 3}, nn::Fp8Format{5, 2},
-                                           nn::Fp8Format{3, 4}, nn::Fp8Format{5, 10}),
-                         [](const ::testing::TestParamInfo<nn::Fp8Format>& info) {
-                           return "e" + std::to_string(info.param.exponent_bits) +
-                                  "m" + std::to_string(info.param.mantissa_bits);
-                         });
+                                           nn::Fp8Format{3, 4}, nn::Fp8Format{5, 10}));
 
 TEST(Fp8Property, MoreMantissaBitsLowerError) {
   Rng rng(6);

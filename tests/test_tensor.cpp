@@ -226,7 +226,7 @@ TEST(Ops, Col2ImIsAdjointOfIm2Col) {
 // --------------------------------------------------------------------------
 // Blocked/parallel kernels vs. naive references: the optimized kernels are
 // documented to be *bitwise* identical (same per-element accumulation order,
-// -ffp-contract=off on the kernel TU), including on ragged shapes that
+// and the tree-wide -ffp-contract=off), including on ragged shapes that
 // exercise every remainder path of the blocking.
 // --------------------------------------------------------------------------
 

@@ -491,7 +491,7 @@ TEST(GoldenTrace, UpdateThenCheckPassesBitwise) {
 
 /// Builds the committed-golden workload: a ReLU MLP with integer-derived
 /// weights (no libm, no RNG) so the recorded logits are reproducible across
-/// machines up to FP contraction, which the kernel TUs pin off.
+/// machines up to FP contraction, which the build turns off in every TU.
 testkit::Trace mlp_forward_trace() {
   nn::MlpConfig cfg;
   cfg.dims = {12, 9, 5};
