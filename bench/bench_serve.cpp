@@ -520,7 +520,8 @@ int main(int argc, char** argv) {
         scfg.num_shards = kShards;
         enw::bench::Timer t;
         const enw::serve::ShardedReplayResult res = enw::serve::replay_sharded(
-            trace, scfg, [](std::size_t, std::span<const std::size_t>) {});
+            trace, scfg,
+            [](std::size_t, std::span<const std::size_t>, std::uint64_t) {});
         const double wall = t.seconds();
 
         for (std::uint32_t ten = 0; ten < 2; ++ten) {

@@ -250,7 +250,14 @@ void AnalogMatrix::program(const Matrix& target, int iterations) {
       for (std::size_t c = 0; c < cols_; ++c) {
         const DeviceInstance& d = devices_[r * cols_ + c];
         if (d.stuck) continue;
-        const float goal = std::clamp(target(r, c), d.w_min, d.w_max);
+        // Clamp the goal into what the device can reach: its hard range, and
+        // short of a soft bound, where the step vanishes (1 - slope_up * w
+        // -> 0) and err / step would grow without limit.
+        float lo = d.w_min;
+        float hi = d.w_max;
+        if (d.slope_up > 0.0f) hi = std::min(hi, 1.0f / d.slope_up);
+        if (d.slope_down > 0.0f) lo = std::max(lo, -1.0f / d.slope_down);
+        const float goal = std::clamp(target(r, c), lo, std::max(lo, hi));
         const float err = goal - w_(r, c);
         const float step = expected_step(r, c, err > 0.0f);
         if (std::abs(step) < 1e-12f) continue;

@@ -92,8 +92,10 @@ class AnalogMatrix {
   Matrix weights_snapshot() const;
 
   /// Closed-loop (write-verify) programming toward the target matrix;
-  /// `iterations` verify/correct rounds. Values are clipped to each device's
-  /// range. Stuck devices retain their state.
+  /// `iterations` verify/correct rounds. Values are clipped to what each
+  /// device can reach: its [w_min, w_max] range, short of its soft bounds
+  /// (w <= 1 / slope_up, w >= -1 / slope_down). Stuck devices retain their
+  /// state.
   void program(const Matrix& target, int iterations = 10);
 
   /// Expected weight change of a single up (or down) pulse at the current

@@ -25,7 +25,6 @@
 #include "data/click_log.h"
 #include "mann/similarity_search.h"
 #include "nn/mlp.h"
-#include "nn/quant.h"
 #include "recsys/dlrm.h"
 #include "recsys/wide_and_deep.h"
 #include "tensor/matrix.h"
@@ -44,9 +43,17 @@ inline std::uint64_t click_routing_key(const data::ClickSample& s) {
 }
 
 /// Serve MLP logits: collate sample vectors into a Matrix, one infer_batch
-/// GEMM per layer, split the logit rows back out per request.
-inline std::function<std::vector<Vector>(std::span<const Vector>)>
-mlp_logits_backend(const nn::Mlp& net) {
+/// call, split the logit rows back out per request. Net is any model with
+/// input_dim() and infer_batch(const Matrix&): nn::Mlp, the simulated-
+/// quantization nn::QatMlp, or the deployed int8 engine
+/// nn::QatInt8Inference (qgemm_nt int32 accumulation + one rescale per
+/// layer). NOTE: int8 activation quantization is per-ROW of the collated
+/// batch, i.e. per request — so int8 results stay independent of which
+/// micro-batch the collator forms, preserving the serve-vs-offline bitwise
+/// diff contract.
+template <typename Net>
+std::function<std::vector<Vector>(std::span<const Vector>)>
+mlp_logits_backend(const Net& net) {
   return [&net](std::span<const Vector> batch) {
     Matrix x(batch.size(), net.input_dim());
     for (std::size_t s = 0; s < batch.size(); ++s) {
@@ -63,50 +70,11 @@ mlp_logits_backend(const nn::Mlp& net) {
   };
 }
 
-/// Serve QAT MLP logits (simulated-quantization fp32 path): same collation
-/// contract as mlp_logits_backend, routed through QatMlp::infer_batch.
-inline std::function<std::vector<Vector>(std::span<const Vector>)>
-qat_mlp_logits_backend(const nn::QatMlp& net) {
-  return [&net](std::span<const Vector> batch) {
-    Matrix x(batch.size(), net.input_dim());
-    for (std::size_t s = 0; s < batch.size(); ++s) {
-      ENW_CHECK_MSG(batch[s].size() == net.input_dim(),
-                    "request width != QAT MLP input dim");
-      std::copy(batch[s].begin(), batch[s].end(), x.row(s).begin());
-    }
-    const Matrix logits = net.infer_batch(x);
-    std::vector<Vector> out(batch.size());
-    for (std::size_t s = 0; s < batch.size(); ++s) {
-      out[s].assign(logits.row(s).begin(), logits.row(s).end());
-    }
-    return out;
-  };
-}
-
-/// Serve QAT MLP logits through the deployed int8 engine (qgemm_nt int32
-/// accumulation + one rescale per layer). NOTE: int8 activation quantization
-/// is per-ROW of the collated batch, i.e. per request — so results stay
-/// independent of which micro-batch the collator forms, preserving the
-/// serve-vs-offline bitwise diff contract.
-inline std::function<std::vector<Vector>(std::span<const Vector>)>
-qat_int8_logits_backend(const nn::QatInt8Inference& engine) {
-  return [&engine](std::span<const Vector> batch) {
-    Matrix x(batch.size(), engine.input_dim());
-    for (std::size_t s = 0; s < batch.size(); ++s) {
-      ENW_CHECK_MSG(batch[s].size() == engine.input_dim(),
-                    "request width != int8 engine input dim");
-      std::copy(batch[s].begin(), batch[s].end(), x.row(s).begin());
-    }
-    const Matrix logits = engine.infer_batch(x);
-    std::vector<Vector> out(batch.size());
-    for (std::size_t s = 0; s < batch.size(); ++s) {
-      out[s].assign(logits.row(s).begin(), logits.row(s).end());
-    }
-    return out;
-  };
-}
-
 /// Serve DLRM click probabilities straight off the batched serving path.
+/// With enable_embedding_cache() active the predict path gathers through the
+/// cache hierarchy: residency changes per batch, but the pooled values are
+/// bitwise-equal to the quantized cold-tier gather whatever the hit pattern
+/// or micro-batch, so the serve-vs-offline diff contract holds unchanged.
 inline std::function<std::vector<float>(std::span<const data::ClickSample>)>
 dlrm_backend(const recsys::Dlrm& model) {
   return [&model](std::span<const data::ClickSample> batch) {
@@ -117,32 +85,6 @@ dlrm_backend(const recsys::Dlrm& model) {
 /// Serve Wide&Deep click probabilities; same shape contract as dlrm_backend.
 inline std::function<std::vector<float>(std::span<const data::ClickSample>)>
 wide_and_deep_backend(const recsys::WideAndDeep& model) {
-  return [&model](std::span<const data::ClickSample> batch) {
-    return model.predict_batch(batch);
-  };
-}
-
-/// Serve DLRM through the embedding cache hierarchy (the model must have
-/// enable_embedding_cache() active). The cache mutates residency/recency per
-/// request batch, but the *values* it pools are bitwise-equal to gathering
-/// from the quantized cold tier directly — independent of hit pattern and of
-/// which micro-batch the collator forms — so the serve-vs-offline diff
-/// contract holds exactly as for the uncached adapters. Non-const reference
-/// on purpose: the caller owns a backend that updates cache state.
-inline std::function<std::vector<float>(std::span<const data::ClickSample>)>
-cached_dlrm_backend(recsys::Dlrm& model) {
-  ENW_CHECK_MSG(model.embedding_cache_enabled(),
-                "cached_dlrm_backend: call enable_embedding_cache() first");
-  return [&model](std::span<const data::ClickSample> batch) {
-    return model.predict_batch(batch);
-  };
-}
-
-/// Cached Wide&Deep twin of cached_dlrm_backend; same contract.
-inline std::function<std::vector<float>(std::span<const data::ClickSample>)>
-cached_wide_and_deep_backend(recsys::WideAndDeep& model) {
-  ENW_CHECK_MSG(model.embedding_cache_enabled(),
-                "cached_wide_and_deep_backend: call enable_embedding_cache() first");
   return [&model](std::span<const data::ClickSample> batch) {
     return model.predict_batch(batch);
   };

@@ -421,11 +421,7 @@ class MultiShardServer {
 
   static MultiShardConfig normalize(MultiShardConfig cfg) {
     ENW_CHECK_MSG(cfg.num_shards > 0, "need at least one shard");
-    if (cfg.tenants.empty()) {
-      TenantPolicy def;
-      def.admission = cfg.shard.admission;
-      cfg.tenants.push_back(def);
-    }
+    cfg.tenants = resolve_tenants(std::move(cfg.tenants), cfg.shard.admission);
     return cfg;
   }
 

@@ -8,6 +8,7 @@
 
 #include "core/check.h"
 #include "obs/obs.h"
+#include "serve/replay_internal.h"
 
 namespace enw::serve {
 
@@ -26,53 +27,36 @@ void append_ids(std::ostringstream& os, std::span<const std::size_t> ids) {
 
 }  // namespace
 
-std::string batch_log_line(std::size_t index, const BatchRecord& rec) {
-  std::ostringstream os;
-  os << "batch " << index << ": t=" << rec.flush_ns
-     << "ns reason=" << flush_reason_name(rec.reason)
-     << " n=" << rec.executed.size() << " ids=";
-  append_ids(os, rec.executed);
-  os << " shed=";
-  append_ids(os, rec.shed);
-  return os.str();
-}
-
 std::string ReplayResult::boundary_log() const {
-  // With no activated swaps the rendering is exactly the pre-swap format —
-  // tests pin that string byte-for-byte, so the version annotations appear
-  // only when a swap makes them meaningful.
-  std::string out;
+  std::ostringstream os;
   std::size_t s = 0;
   for (std::size_t b = 0; b < batches.size(); ++b) {
     for (; s < swaps.size() && swaps[s].first_batch == b; ++s) {
-      std::ostringstream os;
       os << "swap: t=" << swaps[s].at_ns << "ns v=" << swaps[s].version
-         << " first_batch=" << b;
-      out += os.str();
-      out += "\n";
+         << " first_batch=" << b << "\n";
     }
-    out += batch_log_line(b, batches[b]);
-    if (!swaps.empty()) {
-      std::ostringstream os;
-      os << " v=" << batches[b].version;
-      out += os.str();
-    }
-    out += "\n";
+    const BatchRecord& rec = batches[b];
+    os << "batch " << b << ": t=" << rec.flush_ns
+       << "ns reason=" << flush_reason_name(rec.reason)
+       << " n=" << rec.executed.size() << " ids=";
+    append_ids(os, rec.executed);
+    os << " shed=";
+    append_ids(os, rec.shed);
+    os << " v=" << rec.version << "\n";
   }
-  return out;
+  return os.str();
 }
 
 ReplayResult replay_trace(std::span<const TraceEvent> trace,
                           const ReplayConfig& cfg, const ReplayExec& exec) {
-  return replay_trace(
-      trace, cfg,
-      ReplayExecV([&exec](std::span<const std::size_t> ids, std::uint64_t) {
-        exec(ids);
-      }));
+  return detail::replay_shard(trace, cfg, exec, /*drain_from_ns=*/0);
 }
 
-ReplayResult replay_trace(std::span<const TraceEvent> trace,
-                          const ReplayConfig& cfg, const ReplayExecV& exec) {
+namespace detail {
+
+ReplayResult replay_shard(std::span<const TraceEvent> trace,
+                          const ReplayConfig& cfg, const ReplayExec& exec,
+                          std::uint64_t drain_from_ns) {
   ENW_SPAN("serve.replay");
   ENW_CHECK_MSG(cfg.serve.max_batch > 0, "max_batch must be positive");
   ENW_CHECK_MSG(cfg.serve.queue_capacity > 0, "queue_capacity must be positive");
@@ -84,21 +68,17 @@ ReplayResult replay_trace(std::span<const TraceEvent> trace,
     ENW_CHECK_MSG(cfg.swaps[i - 1].at_ns <= cfg.swaps[i].at_ns,
                   "swap events must be non-decreasing in at_ns");
   }
-  ENW_CHECK_MSG(cfg.resizes.empty(),
-                "scripted resizes are a sharded-replay feature (replay_sharded)");
 
-  // Resolve the tenant table: empty config means one default tenant with
-  // the serve config's admission mode and the full queue as its quota —
-  // which reduces every per-tenant check below to the pre-tenancy one.
-  std::vector<TenantPolicy> tenants = cfg.tenants;
-  if (tenants.empty()) {
-    TenantPolicy def;
-    def.admission = cfg.serve.admission;
-    tenants.push_back(def);
-  }
-  std::vector<std::size_t> quota(tenants.size());
-  for (std::size_t t = 0; t < tenants.size(); ++t) {
-    quota[t] = tenant_quota(tenants[t], cfg.serve.queue_capacity);
+  // An empty tenant table is the plain Server: one tenant with the serve
+  // config's admission mode and no quota, so only the queue bound admits.
+  const std::vector<TenantPolicy> tenants =
+      resolve_tenants(cfg.tenants, cfg.serve.admission);
+  std::vector<std::size_t> quota(tenants.size(),
+                                 std::numeric_limits<std::size_t>::max());
+  if (!cfg.tenants.empty()) {
+    for (std::size_t t = 0; t < tenants.size(); ++t) {
+      quota[t] = tenant_quota(tenants[t], cfg.serve.queue_capacity);
+    }
   }
   for (const TraceEvent& e : trace) {
     ENW_CHECK_MSG(e.tenant < tenants.size(), "trace event names unknown tenant");
@@ -121,34 +101,68 @@ ReplayResult replay_trace(std::span<const TraceEvent> trace,
     std::uint64_t enqueue_ns;  // admission time: starts the batching window
   };
   std::deque<Queued> queue;
-  std::deque<std::size_t> blocked;  // kBlock arrivals waiting for space
-  std::vector<std::size_t> queued_of(tenants.size(), 0);  // queue slots held
-  std::uint64_t exec_free_ns = 0;   // executor available from this instant
+  std::deque<std::size_t> blocked;  // kBlock arrivals waiting for room
+  std::vector<std::size_t> held(tenants.size(), 0);  // slots held per tenant
+  std::vector<std::size_t> running;  // executing batch, done at exec_free_ns
+  std::uint64_t exec_free_ns = 0;    // executor available from this instant
   std::uint64_t now = 0;
   std::size_t next = 0;  // next trace event to process
   std::uint64_t version = 0;   // active backend version (0 = initial)
   std::size_t swap_idx = 0;    // next scripted swap to activate
 
-  while (next < trace.size() || !queue.empty() || !blocked.empty()) {
+  // A request takes one of its tenant's slots on admission and returns it
+  // at its terminal status.
+  const auto enqueue = [&](std::size_t id) {
+    queue.push_back({id, now});
+    ++held[trace[id].tenant];
+    result.stats.queue_peak = std::max(result.stats.queue_peak, queue.size());
+  };
+  // Blocked arrivals admit FIFO as room frees; their window starts now. A
+  // waiter whose tenant is still at quota keeps its place, so an over-budget
+  // tenant cannot take room another tenant's waiter could use.
+  const auto admit_blocked = [&] {
+    for (auto it = blocked.begin();
+         it != blocked.end() && queue.size() < cfg.serve.queue_capacity;) {
+      const std::uint32_t ten = trace[*it].tenant;
+      if (held[ten] < quota[ten]) {
+        enqueue(*it);
+        it = blocked.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  };
+
+  while (next < trace.size() || !queue.empty() || !running.empty()) {
+    const std::uint64_t done_at = running.empty() ? kNever : exec_free_ns;
     // Earliest instant the current queue state can flush (policy + executor).
-    // Replay never drains: the trace plays out to quiescence, so the final
-    // partial batch flushes by its window like any other (shutdown/drain
-    // is a live-server behaviour, exercised in test_serve's Server cases).
+    // Outside drain the trace plays out to quiescence: the final partial
+    // batch flushes by its window like any other.
     std::uint64_t flush_at = kNever;
     if (!queue.empty()) {
       const FlushDecision d = flush_due(now, queue.front().enqueue_ns,
                                         queue.size(), /*draining=*/false,
                                         cfg.serve);
       flush_at = std::max(d.due ? now : d.wake_ns, exec_free_ns);
-      if (cfg.drain_at_ns != 0) {
-        // Drain mode: from drain_at_ns the queue flushes as soon as the
+      if (drain_from_ns != 0) {
+        // Drain mode: from drain_from_ns the queue flushes as soon as the
         // executor allows, instead of waiting for size/window triggers.
         flush_at =
-            std::min(flush_at, std::max({cfg.drain_at_ns, now, exec_free_ns}));
+            std::min(flush_at, std::max({drain_from_ns, now, exec_free_ns}));
       }
     }
     const std::uint64_t next_arrival =
         next < trace.size() ? trace[next].arrival_ns : kNever;
+
+    if (done_at <= std::min(next_arrival, flush_at)) {
+      // Completion. It frees its slots and admits blocked arrivals before
+      // arrivals and the flush at the same instant (the tie rule).
+      now = done_at;
+      for (std::size_t id : running) --held[trace[id].tenant];
+      running.clear();
+      admit_blocked();
+      continue;
+    }
 
     if (next_arrival <= flush_at) {
       // Admission. Arrivals at the flush instant are admitted first — the
@@ -157,14 +171,12 @@ ReplayResult replay_trace(std::span<const TraceEvent> trace,
       const std::size_t id = next++;
       const std::uint32_t ten = trace[id].tenant;
       ++result.tenant_stats[ten].submitted;
-      // A tenant is admissible while the shared queue has space AND the
-      // tenant holds fewer slots than its queue-share quota. Over-budget
-      // behaviour follows the TENANT's admission mode, so one tenant's
-      // saturation never turns into another tenant's reject.
-      if (queue.size() < cfg.serve.queue_capacity && queued_of[ten] < quota[ten]) {
-        queue.push_back({id, now});
-        ++queued_of[ten];
-        result.stats.queue_peak = std::max(result.stats.queue_peak, queue.size());
+      // A tenant is admissible while the shared queue has room AND it holds
+      // fewer slots than its quota. Over-budget behaviour follows the
+      // TENANT's admission mode, so one tenant's saturation never turns into
+      // another tenant's reject.
+      if (queue.size() < cfg.serve.queue_capacity && held[ten] < quota[ten]) {
+        enqueue(id);
       } else if (tenants[ten].admission == AdmissionPolicy::kReject) {
         ++result.stats.rejected;
         ++result.tenant_stats[ten].rejected;
@@ -190,7 +202,7 @@ ReplayResult replay_trace(std::span<const TraceEvent> trace,
       version = cfg.swaps[swap_idx].version;
       ++swap_idx;
     }
-    const bool draining = cfg.drain_at_ns != 0 && now >= cfg.drain_at_ns;
+    const bool draining = drain_from_ns != 0 && now >= drain_from_ns;
     const FlushDecision d = flush_due(now, queue.front().enqueue_ns,
                                       queue.size(), draining, cfg.serve);
     ENW_CHECK_MSG(d.due, "flush scheduled but policy not due");
@@ -203,51 +215,33 @@ ReplayResult replay_trace(std::span<const TraceEvent> trace,
     for (std::size_t i = 0; i < take; ++i) {
       const Queued q = queue.front();
       queue.pop_front();
-      --queued_of[trace[q.id].tenant];
+      const std::uint32_t ten = trace[q.id].tenant;
       if (deadline_expired(deadline_of(q.id), now)) {
+        // A shed request reaches its terminal status here: its slot frees.
+        --held[ten];
         rec.shed.push_back(q.id);
         ++result.stats.shed;
-        ++result.tenant_stats[trace[q.id].tenant].shed;
+        ++result.tenant_stats[ten].shed;
         result.outcomes[q.id] = {Status::kTimedOut, now,
                                  now - trace[q.id].arrival_ns};
       } else {
         rec.executed.push_back(q.id);
       }
     }
-    // Freed slots admit blocked arrivals FIFO; their window starts now. A
-    // blocked request whose tenant is still at quota is skipped (it keeps
-    // its FIFO position), so an over-budget tenant cannot consume slots the
-    // pops just returned to another tenant.
-    for (auto it = blocked.begin();
-         it != blocked.end() && queue.size() < cfg.serve.queue_capacity;) {
-      const std::uint32_t ten = trace[*it].tenant;
-      if (queued_of[ten] < quota[ten]) {
-        queue.push_back({*it, now});
-        ++queued_of[ten];
-        result.stats.queue_peak = std::max(result.stats.queue_peak, queue.size());
-        it = blocked.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    admit_blocked();
     if (!rec.executed.empty()) {
-      // Faults: by default an exec exception propagates (the harness makes
-      // no masking promise); mask_exec_faults opts into the live Server's
-      // behaviour — the whole batch resolves kError and replay continues,
-      // with the executor still occupied for the service interval it spent
-      // failing.
+      // Typed faults, as Server::run_batch: a throw resolves the whole batch
+      // kError and replay continues, with the executor still occupied for
+      // the service interval it spent failing.
       bool failed = false;
-      if (cfg.mask_exec_faults) {
-        try {
-          exec(std::span<const std::size_t>(rec.executed), version);
-        } catch (...) {
-          failed = true;
-        }
-      } else {
+      try {
         exec(std::span<const std::size_t>(rec.executed), version);
+      } catch (...) {
+        failed = true;
       }
       const std::uint64_t complete = now + cfg.service_ns;
       exec_free_ns = complete;
+      running = rec.executed;
       if (failed) {
         result.stats.errors += rec.executed.size();
         for (std::size_t id : rec.executed) {
@@ -265,12 +259,13 @@ ReplayResult replay_trace(std::span<const TraceEvent> trace,
         result.stats.record_batch(rec.executed.size());
       }
     }
-    if (!rec.executed.empty() || !rec.shed.empty()) {
-      result.batches.push_back(std::move(rec));
-    }
+    result.batches.push_back(std::move(rec));
   }
+  ENW_CHECK_MSG(blocked.empty(), "blocked arrivals left with no room to free");
   return result;
 }
+
+}  // namespace detail
 
 std::uint64_t poisson_gap_ns(double mean_gap_ns, double u) {
   ENW_CHECK_MSG(mean_gap_ns >= 0.0, "mean gap must be non-negative");

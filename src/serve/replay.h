@@ -3,33 +3,47 @@
 // Live batch boundaries depend on thread scheduling, so they cannot anchor a
 // bitwise test. replay_trace() removes the scheduler from the picture: it is
 // a single-threaded discrete-event simulation of the serving pipeline over a
-// scripted arrival trace in VIRTUAL time. Admission (bounded queue,
-// block/reject), batching (the same flush_due policy the live collator
-// runs), deadline shedding (the same deadline_expired predicate), and drain
-// are all replayed as pure functions of the trace and config — so the same
-// seeded trace always produces the same batch boundaries, the same typed
-// outcome per request, and (because the batched GEMM paths compute each
-// output row as an independent k-order dot product) outputs that are
-// bitwise-identical to running the offline predict_batch reference over the
-// whole trace at once. tests/test_serve.cpp pins all three with testkit
-// differential checks across ENW_THREADS {1, 8}.
+// scripted arrival trace in VIRTUAL time. Admission (bounded queue, tenant
+// quota, block/reject), batching (the same flush_due policy the live
+// collator runs), deadline shedding (the same deadline_expired predicate),
+// and typed faults are all replayed as pure functions of the trace and
+// config — so the same seeded trace always produces the same batch
+// boundaries, the same typed outcome per request, and (because the batched
+// GEMM paths compute each output row as an independent k-order dot product)
+// outputs that are bitwise-identical to running the offline predict_batch
+// reference over the whole trace at once. tests/test_serve.cpp pins all
+// three with testkit differential checks across ENW_THREADS {1, 8}.
 //
 // Virtual-time semantics (all deterministic, documented here because tests
 // diff the boundary log byte-for-byte):
 //  * Requests are processed in trace order; arrivals must be non-decreasing.
 //  * One executor: a flush occupies it for cfg.service_ns of virtual time;
-//    triggers that fire while it is busy flush when it frees.
-//  * An arrival stamped at or before a pending flush instant is admitted
+//    triggers that fire while it is busy flush when it frees. A batch
+//    completes at flush + service_ns.
+//  * Tenant quota, held to completion as MultiShardServer's gate holds it:
+//    a request holds one of its tenant's slots from admission until its
+//    terminal status. A shed request frees it at its flush; an executed or
+//    failed one at flush + service_ns. An empty tenant table is the plain
+//    Server: the queue bound alone, no quota.
+//  * A blocked arrival (kBlock, no queue space or tenant at quota) waits
+//    FIFO and is re-examined at every flush and every completion; its
+//    batching window starts when it is admitted.
+//  * Tie rule: a completion at t frees its slots and admits blocked
+//    arrivals before arrivals stamped t and before the flush at t; an
+//    arrival stamped at or before a pending flush instant is admitted
 //    before the flush decision is evaluated.
-//  * A blocked arrival (kBlock policy, full queue) is admitted FIFO the
-//    moment a flush frees queue space; its batching window starts then.
-//  * Replay never drains by default: after the last arrival the remaining
-//    queue still flushes by its size/window triggers, so end-of-trace does
-//    not distort window or deadline behaviour. Shutdown/drain semantics
-//    belong to the live Server and are tested there. The one scripted
-//    exception is ReplayConfig::drain_at_ns: from that virtual instant the
-//    replay runs in drain mode (flushes stop waiting for triggers), which
-//    is how replay_sharded models a removed shard draining mid-trace.
+//  * Typed faults, as Server::run_batch types them: an exception thrown by
+//    the exec callback resolves every request of that batch kError (the
+//    executor is still occupied for the service interval) and the replay
+//    continues.
+//  * Replay never drains: after the last arrival the remaining queue still
+//    flushes by its size/window triggers, so end-of-trace does not distort
+//    window or deadline behaviour. Shutdown belongs to the live Server and is
+//    tested there; replay_sharded drains only a shard a scripted kRemove
+//    retires.
+//  * One difference from the live gate remains: a live kBlock request that
+//    passed its tenant gate holds its slot while it waits for shared-queue
+//    space, and a replayed one does not (it holds a slot only once queued).
 #pragma once
 
 #include <cstddef>
@@ -68,62 +82,22 @@ struct SwapEvent {
   std::uint64_t version = 0;
 };
 
-/// One scripted shard-set change at a virtual instant (the replay twin of
-/// MultiShardServer::add_shard / remove_shard). A sharded-only event:
-/// replay_trace rejects configs carrying resizes; replay_sharded applies
-/// each event to the routing ring when the first arrival at or after at_ns
-/// is routed — every arrival stamped >= at_ns sees the post-resize ring,
-/// everything earlier the pre-resize one. On a kRemove the victim shard's
-/// sub-replay switches to drain mode at at_ns (ReplayConfig::drain_at_ns),
-/// so its already-queued requests flush to typed outcomes instead of
-/// lingering — the replay abstraction of the live drain/reroute. A resize
-/// scripted after the last arrival never activates and is not recorded
-/// (the swap pattern).
-struct ResizeEvent {
-  enum class Kind { kAdd, kRemove };
-  std::uint64_t at_ns = 0;
-  Kind kind = Kind::kAdd;
-  /// kAdd: the id the router must assign when the event activates (ids are
-  /// sequential and never reused — checked at activation). kRemove: the id
-  /// retired.
-  std::size_t shard = 0;
-};
-
 struct ReplayConfig {
   ServeConfig serve;
   /// Virtual executor occupancy per flushed batch. Models the serving-side
   /// head-of-line blocking that lets queues build while a batch runs.
   std::uint64_t service_ns = 0;
-  /// Tenant SLO table, indexed by TraceEvent::tenant. Empty means one
-  /// default tenant (full queue share, no deadline) whose admission mode is
-  /// serve.admission — which makes the single-tenant simulation identical,
-  /// boundary for boundary, to the pre-tenancy harness. A non-empty table
-  /// applies each tenant's admission mode, queue-share quota (the same
-  /// tenant_quota arithmetic the live MultiShardServer uses) and, for
-  /// events with deadline_ns == 0, its relative deadline.
+  /// Tenant SLO table, indexed by TraceEvent::tenant. Empty means the plain
+  /// Server: one tenant with serve.admission, no deadline, and no quota. A
+  /// non-empty table applies each tenant's admission mode, its queue-share
+  /// quota held to completion (the tenant_quota arithmetic of the live
+  /// MultiShardServer gate) and, for events with deadline_ns == 0, its
+  /// relative deadline.
   std::vector<TenantPolicy> tenants;
-  /// When true, an exception thrown by the exec callback is absorbed the way
-  /// the live Server absorbs a BatchFn throw: every request of that batch
-  /// gets Status::kError and the simulation keeps going (the shard-death
-  /// campaign in test_serve_fault.cpp runs this mode). When false (default)
-  /// exceptions propagate, as before.
-  bool mask_exec_faults = false;
   /// Scripted hot-swaps, non-decreasing in at_ns. Version 0 is the initial
   /// backend. Swaps activate lazily at flush instants (see SwapEvent); a
   /// swap scripted after the last flush never activates and is not recorded.
-  /// Empty (default) reproduces pre-swap replays byte-for-byte.
   std::vector<SwapEvent> swaps;
-  /// Scripted shard-set changes, non-decreasing in at_ns — a sharded-replay
-  /// feature (see ResizeEvent and replay_sharded). replay_trace rejects a
-  /// non-empty list: a single-server replay has no shard set to change.
-  std::vector<ResizeEvent> resizes;
-  /// Virtual instant from which this replay runs in drain mode: flushes
-  /// stop waiting for size/window triggers and push whatever is queued
-  /// (executor occupancy still respected; blocked arrivals still admit FIFO
-  /// as space frees and drain too). 0 (default) = never, which reproduces
-  /// pre-drain replays byte-for-byte. replay_sharded sets this on a removed
-  /// shard's sub-replay.
-  std::uint64_t drain_at_ns = 0;
 };
 
 /// One simulated flush, in flush order.
@@ -162,38 +136,25 @@ struct ReplayResult {
   /// flush never activate and do not appear).
   std::vector<SwapBoundary> swaps;
 
-  /// Canonical one-line-per-batch rendering ("batch 0: t=...ns reason=size
-  /// n=3 ids=[0,1,2] shed=[]"). Tests diff this string to pin boundaries.
-  /// When swaps activated, a "swap ..." line is interleaved before the first
-  /// batch of each new version and every batch line gains a " v=<version>"
-  /// suffix; with no swaps the rendering is byte-identical to pre-swap
-  /// builds, so existing pinned logs stay valid.
+  /// Canonical one-line-per-batch rendering, e.g.
+  /// "batch 0: t=0ns reason=size n=3 ids=[0,1,2] shed=[] v=0". Every batch
+  /// line ends in its backend version, and a "swap: t=<t>ns v=<version>
+  /// first_batch=<b>" line precedes the first batch of each activated swap.
+  /// Tests diff this string to pin boundaries.
   std::string boundary_log() const;
 };
 
-/// One canonical boundary-log line (no trailing newline) — the shared
-/// renderer behind ReplayResult::boundary_log and the sharded log, which
-/// feeds it batch records remapped to global request ids.
-std::string batch_log_line(std::size_t index, const BatchRecord& rec);
-
-/// Executes the surviving requests of one batch; ids index into the trace.
-/// The caller owns request payloads and output storage — replay only decides
-/// WHICH requests run together and WHEN. Exceptions propagate (the harness
-/// makes no fault-masking promises; that is the live server's job).
-using ReplayExec = std::function<void(std::span<const std::size_t> ids)>;
-
-/// Version-aware exec: also receives the backend version the batch runs on,
-/// so a swap test can dispatch each batch to the model build it is scripted
-/// to land on and byte-diff the outputs per version.
-using ReplayExecV =
+/// Executes the surviving requests of one batch on backend `version`; ids
+/// index into the trace. The caller owns request payloads and output
+/// storage — replay only decides WHICH requests run together, WHEN, and on
+/// which version. A throw resolves the whole batch kError (see above).
+using ReplayExec =
     std::function<void(std::span<const std::size_t> ids, std::uint64_t version)>;
 
 /// Run the full simulation. Requires trace arrivals to be non-decreasing
 /// (and cfg.swaps non-decreasing in at_ns).
 ReplayResult replay_trace(std::span<const TraceEvent> trace,
                           const ReplayConfig& cfg, const ReplayExec& exec);
-ReplayResult replay_trace(std::span<const TraceEvent> trace,
-                          const ReplayConfig& cfg, const ReplayExecV& exec);
 
 /// Exponential inter-arrival gap from one uniform draw u in [0, 1):
 /// -mean_gap_ns * ln(1 - u), guarded at both tails. u == 1.0 (which some

@@ -63,7 +63,8 @@ struct ServeConfig {
 enum class FlushReason {
   kSize,    // queue reached max_batch
   kWindow,  // oldest request waited max_wait_ns
-  kDrain,   // shutdown (live) / end of trace (replay): flush whatever queued
+  kDrain,   // shutdown (live) / a shard retired by a scripted kRemove
+            // (replay_sharded): flush whatever queued
 };
 const char* flush_reason_name(FlushReason r);
 

@@ -4,6 +4,16 @@
 
 namespace enw::serve {
 
+std::vector<TenantPolicy> resolve_tenants(std::vector<TenantPolicy> tenants,
+                                          AdmissionPolicy admission) {
+  if (tenants.empty()) {
+    TenantPolicy def;
+    def.admission = admission;
+    tenants.push_back(def);
+  }
+  return tenants;
+}
+
 double shard_imbalance(std::span<const std::uint64_t> per_shard_counts,
                        std::span<const std::uint8_t> live) {
   ENW_CHECK_MSG(per_shard_counts.size() == live.size(),

@@ -93,6 +93,13 @@ struct TenantPolicy {
   double queue_share = 1.0;
 };
 
+/// The tenant table a deployment runs: `tenants` itself, or, when it is
+/// empty, one default tenant (no deadline, full queue share) with the given
+/// admission mode. MultiShardServer and replay_sharded resolve their tables
+/// here.
+std::vector<TenantPolicy> resolve_tenants(std::vector<TenantPolicy> tenants,
+                                          AdmissionPolicy admission);
+
 /// The slot quota a queue share buys against a queue of `capacity`:
 /// floor(queue_share * capacity), minimum one slot.
 ///

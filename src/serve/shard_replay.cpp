@@ -1,10 +1,10 @@
 #include "serve/shard_replay.h"
 
 #include <sstream>
-#include <utility>
 
 #include "core/check.h"
 #include "obs/obs.h"
+#include "serve/replay_internal.h"
 
 namespace enw::serve {
 
@@ -21,76 +21,34 @@ double ShardedReplayResult::imbalance() const {
 }
 
 std::string ShardedReplayResult::boundary_log() const {
-  std::string out;
+  std::ostringstream os;
   for (std::size_t i = 0; i < resizes.size(); ++i) {
-    std::ostringstream os;
     os << "resize " << i << ": t=" << resizes[i].at_ns
        << "ns op=" << (resizes[i].added ? "add" : "remove")
-       << " shard=" << resizes[i].shard << " moved=" << resizes[i].moved;
-    out += os.str();
-    out += "\n";
+       << " shard=" << resizes[i].shard << " moved=" << resizes[i].moved
+       << "\n";
   }
   for (std::size_t s = 0; s < shards.size(); ++s) {
-    out += "shard " + std::to_string(s) + ":\n";
-    const std::vector<std::size_t>& to_global = shard_ids[s];
-    // Remap ids to global, keep swap lines/version suffixes: render through
-    // a ReplayResult holding only what boundary_log() reads, so the sharded
-    // log stays byte-compatible with the plain one per shard.
+    // Each section is the shard's own replay_trace log with ids remapped to
+    // global trace indices.
     ReplayResult view;
     view.swaps = shards[s].swaps;
-    view.batches.reserve(shards[s].batches.size());
-    for (const BatchRecord& src : shards[s].batches) {
-      BatchRecord rec = src;  // copy, then remap ids
-      for (std::size_t& id : rec.executed) id = to_global[id];
-      for (std::size_t& id : rec.shed) id = to_global[id];
-      view.batches.push_back(std::move(rec));
+    view.batches = shards[s].batches;
+    for (BatchRecord& rec : view.batches) {
+      for (std::size_t& id : rec.executed) id = shard_ids[s][id];
+      for (std::size_t& id : rec.shed) id = shard_ids[s][id];
     }
-    if (resizes.empty()) {
-      out += view.boundary_log();
-      continue;
-    }
-    // Resizes activated: re-render per batch so every batch line carries its
-    // shard tag (swap lines are per-shard already and stay untagged).
-    std::size_t sw = 0;
-    for (std::size_t b = 0; b < view.batches.size(); ++b) {
-      for (; sw < view.swaps.size() && view.swaps[sw].first_batch == b; ++sw) {
-        std::ostringstream os;
-        os << "swap: t=" << view.swaps[sw].at_ns
-           << "ns v=" << view.swaps[sw].version << " first_batch=" << b;
-        out += os.str();
-        out += "\n";
-      }
-      out += batch_log_line(b, view.batches[b]);
-      if (!view.swaps.empty()) {
-        std::ostringstream os;
-        os << " v=" << view.batches[b].version;
-        out += os.str();
-      }
-      out += " s=" + std::to_string(s);
-      out += "\n";
-    }
+    os << "shard " << s << ":\n" << view.boundary_log();
   }
-  return out;
+  return os.str();
 }
 
 ShardedReplayResult replay_sharded(std::span<const TraceEvent> trace,
                                    const ShardedReplayConfig& cfg,
                                    const ShardedReplayExec& exec) {
-  return replay_sharded(
-      trace, cfg,
-      ShardedReplayExecV([&exec](std::size_t shard,
-                                 std::span<const std::size_t> ids,
-                                 std::uint64_t) { exec(shard, ids); }));
-}
-
-ShardedReplayResult replay_sharded(std::span<const TraceEvent> trace,
-                                   const ShardedReplayConfig& cfg,
-                                   const ShardedReplayExecV& exec) {
   ENW_SPAN("serve.replay.sharded");
   ENW_CHECK_MSG(cfg.num_shards > 0, "need at least one shard");
-  ENW_CHECK_MSG(cfg.replay.drain_at_ns == 0,
-                "drain_at_ns is owned by the routing phase (script a kRemove)");
-  const std::vector<ResizeEvent>& events = cfg.replay.resizes;
+  const std::vector<ResizeEvent>& events = cfg.resizes;
   for (std::size_t i = 1; i < events.size(); ++i) {
     ENW_CHECK_MSG(events[i - 1].at_ns <= events[i].at_ns,
                   "scripted resizes must be non-decreasing in at_ns");
@@ -152,10 +110,13 @@ ShardedReplayResult replay_sharded(std::span<const TraceEvent> trace,
 
   // Replay each shard slot independently; the exec shim translates the
   // shard's local batch ids to global trace indices. A removed shard drains
-  // from its resize instant; scripted resizes never reach the sub-replays.
+  // from its resize instant. Every shard runs the tenant table
+  // MultiShardServer would run.
   ReplayConfig shard_cfg = cfg.replay;
-  shard_cfg.resizes.clear();
+  shard_cfg.tenants =
+      resolve_tenants(cfg.replay.tenants, cfg.replay.serve.admission);
   result.shards.reserve(slots);
+  result.tenant_stats.resize(shard_cfg.tenants.size());
   std::vector<std::size_t> global_ids;
   for (std::size_t s = 0; s < slots; ++s) {
     const std::vector<std::size_t>& to_global = result.shard_ids[s];
@@ -165,17 +126,13 @@ ShardedReplayResult replay_sharded(std::span<const TraceEvent> trace,
       for (std::size_t id : local) global_ids.push_back(to_global[id]);
       exec(s, std::span<const std::size_t>(global_ids), version);
     };
-    shard_cfg.drain_at_ns = drain_at[s];
-    result.shards.push_back(
-        replay_trace(std::span<const TraceEvent>(sub[s]), shard_cfg, shim));
+    result.shards.push_back(detail::replay_shard(
+        std::span<const TraceEvent>(sub[s]), shard_cfg, shim, drain_at[s]));
     const ReplayResult& shard = result.shards.back();
     for (std::size_t i = 0; i < to_global.size(); ++i) {
       result.outcomes[to_global[i]] = shard.outcomes[i];
     }
     result.stats.merge(shard.stats);
-    if (result.tenant_stats.size() < shard.tenant_stats.size()) {
-      result.tenant_stats.resize(shard.tenant_stats.size());
-    }
     for (std::size_t t = 0; t < shard.tenant_stats.size(); ++t) {
       result.tenant_stats[t].merge(shard.tenant_stats[t]);
     }

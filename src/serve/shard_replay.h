@@ -9,31 +9,32 @@
 // state, exactly like the live deployment where each shard has its own
 // collator; cross-shard interleaving therefore cannot affect boundaries.
 //
-// Scripted resizes (ReplayConfig::resizes) make the shard set itself a
-// virtual-time variable — the replay twin of the live
+// Tenants: every shard runs the table MultiShardServer would run. An empty
+// ReplayConfig::tenants resolves (resolve_tenants, as MultiShardServer does)
+// to one full-share default tenant whose quota is held to completion, so the
+// sharded replay models the live sharded gate, not the plain Server.
+//
+// Scripted resizes (ShardedReplayConfig::resizes) make the shard set itself
+// a virtual-time variable — the replay twin of the live
 // MultiShardServer::add_shard / remove_shard. The router is applied to the
 // trace in arrival order; a resize activates when the first arrival at or
 // after its at_ns is routed, so the routing decision for every request is a
 // pure function of (trace, config): arrivals before the instant route on
 // the old ring, arrivals at/after on the new one (the replay analogue of
-// the live reroute-to-new). A removed shard's sub-replay runs with
-// drain_at_ns = the resize instant, flushing its already-queued requests to
-// typed outcomes (the analogue of complete-on-old). Activated resizes are
-// recorded as ResizeBoundary rows with the remapped-arrival count — the
-// ~K/(N+1) consistent-hashing delta, observable in the log.
+// the live reroute-to-new). A removed shard's sub-replay drains from the
+// resize instant, flushing its already-queued requests to typed outcomes
+// (the analogue of complete-on-old). Activated resizes are recorded as
+// ResizeBoundary rows with the remapped-arrival count — the ~K/(N+1)
+// consistent-hashing delta, observable in the log.
 //
 // Everything reported — the per-shard boundary log (global request ids),
 // every typed outcome, routed counts and the imbalance statistic, merged
 // and per-tenant stats, swap and resize boundaries — is a pure function of
 // (trace, config, shard count): bitwise/byte identical across runs, thread
 // counts, and kernel backends. With num_shards == 1 and no resizes the
-// sub-trace IS the trace, so the single shard's boundaries, outcomes, and
-// stats are exactly what replay_trace produces — the sharded harness
-// reduces to the plain one (its boundary_log is the plain log under one
-// "shard 0:" header). And with no resizes the log is byte-identical to the
-// pre-resize format: resize header lines and per-batch " s=" tags appear
-// only when a resize activated (the same log-only-when-present rule the
-// swap annotations follow). tests/test_determinism.cpp and
+// sub-trace IS the trace, so the sharded harness reduces to replay_trace
+// over the resolved tenant table: its boundary_log is that plain log under
+// one "shard 0:" header. tests/test_determinism.cpp and
 // tests/test_resize.cpp pin these properties over DLRM Zipf traffic.
 #pragma once
 
@@ -49,28 +50,42 @@
 
 namespace enw::serve {
 
+/// One scripted shard-set change at a virtual instant (the replay twin of
+/// MultiShardServer::add_shard / remove_shard), applied to the routing ring
+/// when the first arrival at or after at_ns is routed — every arrival
+/// stamped >= at_ns sees the post-resize ring, everything earlier the
+/// pre-resize one. On a kRemove the victim shard's sub-replay drains from
+/// at_ns, so its already-queued requests flush to typed outcomes instead of
+/// lingering — the replay abstraction of the live drain/reroute. A resize
+/// scripted after the last arrival never activates and is not recorded
+/// (the swap pattern).
+struct ResizeEvent {
+  enum class Kind { kAdd, kRemove };
+  std::uint64_t at_ns = 0;
+  Kind kind = Kind::kAdd;
+  /// kAdd: the id the router must assign when the event activates (ids are
+  /// sequential and never reused — checked at activation). kRemove: the id
+  /// retired.
+  std::size_t shard = 0;
+};
+
 struct ShardedReplayConfig {
-  /// Every shard's replay config (queue, flush policy, tenants, faults).
+  /// Every shard's replay config (queue, flush policy, tenants).
   /// replay.swaps script a COORDINATED rollout: every shard activates each
   /// swap at the same virtual instant, the replay twin of
   /// MultiShardServer::swap_backend installing one version fleet-wide.
-  /// replay.resizes script shard-set changes (see file comment); they are
-  /// consumed by the routing phase and never forwarded to the per-shard
-  /// replays. replay.drain_at_ns must be 0 here — the routing phase owns
-  /// per-shard drain instants.
   ReplayConfig replay;
   std::size_t num_shards = 1;
   std::size_t vnodes = 64;  // router ring density (must match deployment)
+  /// Scripted shard-set changes, non-decreasing in at_ns (see ResizeEvent).
+  std::vector<ResizeEvent> resizes;
 };
 
-/// Executes the surviving requests of one batch on `shard`; ids are GLOBAL
-/// trace indices (the caller's payload storage needs no per-shard view).
-/// Exception behaviour follows ReplayConfig::mask_exec_faults.
-using ShardedReplayExec =
-    std::function<void(std::size_t shard, std::span<const std::size_t> ids)>;
-
-/// Version-aware sharded exec (see ReplayExecV).
-using ShardedReplayExecV = std::function<void(
+/// Executes the surviving requests of one batch on `shard` and backend
+/// `version`; ids are GLOBAL trace indices (the caller's payload storage
+/// needs no per-shard view). A throw resolves the batch kError, as in
+/// replay_trace.
+using ShardedReplayExec = std::function<void(
     std::size_t shard, std::span<const std::size_t> ids, std::uint64_t version)>;
 
 /// A scripted resize that actually activated during the replay (an event
@@ -100,15 +115,12 @@ struct ShardedReplayResult {
   /// max/mean of routed_per_shard() (shard_imbalance over live slots).
   double imbalance() const;
 
-  /// Canonical per-shard boundary log: a "shard <s>:" header per shard slot
-  /// followed by that shard's batch lines with ids remapped to global trace
-  /// indices. Byte-identical across runs/threads/backends; with one shard
-  /// it is "shard 0:\n" + the plain replay_trace boundary_log(), including
-  /// the swap lines / version suffixes when swaps activated on that shard.
-  /// When resizes activated, "resize <i>: t=<t>ns op=<add|remove>
-  /// shard=<s> moved=<k>" header lines precede the shard sections and every
-  /// batch line gains a " s=<shard>" tag; with no resizes the rendering is
-  /// byte-identical to the pre-resize format.
+  /// Canonical per-shard boundary log: "resize <i>: t=<t>ns op=<add|remove>
+  /// shard=<s> moved=<k>" lines for the activated resizes, then a
+  /// "shard <s>:" header per shard slot followed by that shard's
+  /// replay_trace log (swap lines and " v=<version>" suffixes included) with
+  /// ids remapped to global trace indices. Byte-identical across
+  /// runs/threads/backends.
   std::string boundary_log() const;
 };
 
@@ -118,8 +130,5 @@ struct ShardedReplayResult {
 ShardedReplayResult replay_sharded(std::span<const TraceEvent> trace,
                                    const ShardedReplayConfig& cfg,
                                    const ShardedReplayExec& exec);
-ShardedReplayResult replay_sharded(std::span<const TraceEvent> trace,
-                                   const ShardedReplayConfig& cfg,
-                                   const ShardedReplayExecV& exec);
 
 }  // namespace enw::serve

@@ -238,6 +238,25 @@ TEST(AnalogMatrix, StuckDevicesSurviveProgramming) {
     EXPECT_FLOAT_EQ(after.data()[i], before.data()[i]);
 }
 
+TEST(AnalogMatrix, ProgramPastSoftBoundEndsJustBelowIt) {
+  // An rram device saturates softly toward w = 1 / slope_up = 1: each up
+  // step is dw_up * (1 - w). With its hard bound w_max beyond that point, a
+  // goal past the soft bound is unreachable, and programming must settle
+  // just below the soft bound instead of firing ever more pulses as the step
+  // vanishes.
+  AnalogMatrixConfig cfg = ideal_array_config();
+  cfg.device = rram_device();
+  cfg.device.sigma_ctoc = 0.0;
+  cfg.device.dtod_dw = 0.0;
+  cfg.device.dtod_bounds = 0.0;
+  cfg.device.w_max = 1.28;
+  AnalogMatrix m(1, 1, cfg);
+  ASSERT_EQ(m.device(0, 0).slope_up, 1.0f);
+  m.program(Matrix::constant(1, 1, 1.2f));
+  EXPECT_LE(m.state(0, 0), 1.0f);
+  EXPECT_GE(m.state(0, 0), 1.0f - 1e-3f);
+}
+
 TEST(ZeroShift, CalibrationLandsOnSymmetryPoints) {
   AnalogMatrixConfig cfg;
   cfg.device = rram_device();

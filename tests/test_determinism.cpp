@@ -193,7 +193,9 @@ ShardedReplayRun run_sharded_dlrm_replay(
   ShardedReplayRun run;
   run.probs.assign(samples.size(), 0.0f);
   const serve::ShardedReplayResult result = serve::replay_sharded(
-      trace, scfg, [&](std::size_t shard, std::span<const std::size_t> ids) {
+      trace, scfg,
+      [&](std::size_t shard, std::span<const std::size_t> ids,
+          std::uint64_t) {
         std::vector<data::ClickSample> batch;
         batch.reserve(ids.size());
         for (std::size_t id : ids) batch.push_back(samples[id]);
@@ -294,7 +296,7 @@ ShardedReplayRun run_swap_and_resize_replay(
   scfg.replay.serve.max_wait_ns = 100000;
   scfg.replay.service_ns = 50000;
   scfg.num_shards = shards;
-  scfg.replay.resizes = {
+  scfg.resizes = {
       {trace[n / 4].arrival_ns, serve::ResizeEvent::Kind::kAdd, shards},
       {trace[(3 * n) / 4].arrival_ns, serve::ResizeEvent::Kind::kRemove, 0},
   };
@@ -350,7 +352,13 @@ TEST(Determinism, SwapAndResizeInOneTraceBitwiseAcrossSeedsShardsAndThreads) {
       EXPECT_NE(base.log.find("op=add"), std::string::npos);
       EXPECT_NE(base.log.find("op=remove shard=0"), std::string::npos);
       EXPECT_NE(base.log.find("swap: t="), std::string::npos);
-      EXPECT_NE(base.log.find(" s="), std::string::npos);
+      // The added shard's section (the last one) holds batches; batch lines
+      // carry no shard tag because the section header names the shard.
+      const std::size_t added =
+          base.log.find("shard " + std::to_string(shards) + ":\n");
+      ASSERT_NE(added, std::string::npos);
+      EXPECT_NE(base.log.find("batch ", added), std::string::npos);
+      EXPECT_EQ(base.log.find(" s="), std::string::npos);
       const auto div =
           first_divergence(as_row(std::span<const float>(base.probs)),
                            as_row(std::span<const float>(wide.probs)));

@@ -413,13 +413,15 @@ ScriptedResizeRun run_scripted_resize_replay(
   scfg.replay.serve.max_batch = 8;
   scfg.replay.serve.max_wait_ns = 100000;
   scfg.replay.service_ns = 50000;
-  scfg.replay.resizes = resizes;
+  scfg.resizes = resizes;
   scfg.num_shards = 4;
 
   ScriptedResizeRun run;
   run.probs.assign(samples.size(), 0.0f);
   const serve::ShardedReplayResult result = serve::replay_sharded(
-      trace, scfg, [&](std::size_t shard, std::span<const std::size_t> ids) {
+      trace, scfg,
+      [&](std::size_t shard, std::span<const std::size_t> ids,
+          std::uint64_t) {
         std::vector<data::ClickSample> batch;
         batch.reserve(ids.size());
         for (std::size_t id : ids) batch.push_back(samples[id]);
@@ -485,7 +487,8 @@ TEST(ResizeReplay, ScriptedResizeLogAndOutputsByteIdenticalAcrossThreads) {
   EXPECT_TRUE(div.ok()) << div.report();
 
   // Both resizes activated and are reported in the log's header lines, and
-  // batch lines carry shard tags.
+  // the added shard's batches sit under its own section header (batch lines
+  // carry no shard tag).
   ASSERT_EQ(base.resizes.size(), 2u);
   EXPECT_TRUE(base.resizes[0].added);
   EXPECT_EQ(base.resizes[0].shard, 4u);
@@ -498,7 +501,8 @@ TEST(ResizeReplay, ScriptedResizeLogAndOutputsByteIdenticalAcrossThreads) {
             std::string::npos)
       << base.log;
   EXPECT_NE(base.log.find("op=remove shard=1"), std::string::npos) << base.log;
-  EXPECT_NE(base.log.find(" s=0\n"), std::string::npos) << base.log;
+  EXPECT_NE(base.log.find("shard 4:\nbatch "), std::string::npos) << base.log;
+  EXPECT_EQ(base.log.find(" s="), std::string::npos) << base.log;
   EXPECT_EQ(base.live, (std::vector<std::uint8_t>{1, 0, 1, 1, 1}));
 
   // Routing is time-varying but pure: arrivals before the add route on the
@@ -537,15 +541,15 @@ TEST(ResizeReplay, ResizeScriptedAfterLastArrivalNeverActivates) {
   }
   serve::ShardedReplayConfig scfg;
   scfg.replay.serve.max_batch = 4;
-  scfg.replay.resizes = {{1000000000, serve::ResizeEvent::Kind::kAdd, 2}};
+  scfg.resizes = {{1000000000, serve::ResizeEvent::Kind::kAdd, 2}};
   scfg.num_shards = 2;
   const serve::ShardedReplayResult r = serve::replay_sharded(
-      trace, scfg, [](std::size_t, std::span<const std::size_t>) {});
+      trace, scfg,
+      [](std::size_t, std::span<const std::size_t>, std::uint64_t) {});
   EXPECT_TRUE(r.resizes.empty());
   EXPECT_EQ(r.shards.size(), 2u);
   EXPECT_EQ(r.live, (std::vector<std::uint8_t>{1, 1}));
-  // No activation, no resize annotations: the log keeps the pre-resize
-  // byte format.
+  // No activation, no resize lines.
   const std::string log = r.boundary_log();
   EXPECT_EQ(log.find("resize"), std::string::npos);
   EXPECT_EQ(log.find(" s="), std::string::npos);

@@ -26,6 +26,7 @@
 #include "mann/similarity_search.h"
 #include "nn/digital_linear.h"
 #include "nn/mlp.h"
+#include "nn/quant.h"
 #include "recsys/dlrm.h"
 #include "serve/backends.h"
 #include "serve/replay.h"
@@ -113,17 +114,19 @@ MlpReplayRun replay_mlp(const nn::Mlp& net, const Matrix& inputs,
   testkit::ThreadScope scope(threads);
   MlpReplayRun run{Matrix(inputs.rows(), net.output_dim()), "", {}};
   const auto backend = mlp_logits_backend(net);
-  run.result = replay_trace(trace, cfg, [&](std::span<const std::size_t> ids) {
-    std::vector<Vector> batch;
-    batch.reserve(ids.size());
-    for (std::size_t id : ids) {
-      batch.emplace_back(inputs.row(id).begin(), inputs.row(id).end());
-    }
-    const std::vector<Vector> outs = backend(batch);
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      std::copy(outs[i].begin(), outs[i].end(), run.served.row(ids[i]).begin());
-    }
-  });
+  run.result = replay_trace(
+      trace, cfg, [&](std::span<const std::size_t> ids, std::uint64_t) {
+        std::vector<Vector> batch;
+        batch.reserve(ids.size());
+        for (std::size_t id : ids) {
+          batch.emplace_back(inputs.row(id).begin(), inputs.row(id).end());
+        }
+        const std::vector<Vector> outs = backend(batch);
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+          std::copy(outs[i].begin(), outs[i].end(),
+                    run.served.row(ids[i]).begin());
+        }
+      });
   run.log = run.result.boundary_log();
   return run;
 }
@@ -164,6 +167,43 @@ TEST(Replay, MlpServedBitwiseMatchesOfflineAcrossThreads) {
   EXPECT_EQ(one.result.stats.executed_requests, n);
 }
 
+TEST(Replay, QatInt8ServedBitwiseMatchesOfflineBatch) {
+  // The int8 engine goes through the same MLP adapter. Its activations are
+  // quantized per row, i.e. per request, so the served logits match the
+  // offline whole-trace batch bitwise whatever the micro-batch boundaries.
+  const std::size_t n = 24;
+  Rng rng(31);
+  nn::QatConfig qcfg;
+  qcfg.dims = {32, 16, 10};
+  const nn::QatMlp qat(qcfg, rng);
+  const nn::QatInt8Inference engine(qat);
+  const Matrix inputs = random_inputs(n, 32, 32);
+  Rng trng(33);
+  const std::vector<TraceEvent> trace = poisson_trace(n, 30000.0, 0, trng);
+  ReplayConfig cfg;
+  cfg.serve.max_batch = 5;
+  cfg.serve.max_wait_ns = 100000;
+  cfg.service_ns = 60000;
+
+  Matrix served(n, engine.output_dim());
+  const auto backend = mlp_logits_backend(engine);
+  const ReplayResult r = replay_trace(
+      trace, cfg, [&](std::span<const std::size_t> ids, std::uint64_t) {
+        std::vector<Vector> batch;
+        for (std::size_t id : ids) {
+          batch.emplace_back(inputs.row(id).begin(), inputs.row(id).end());
+        }
+        const std::vector<Vector> outs = backend(batch);
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+          std::copy(outs[i].begin(), outs[i].end(), served.row(ids[i]).begin());
+        }
+      });
+  EXPECT_GT(r.batches.size(), 1u);
+  EXPECT_EQ(r.stats.completed, n);
+  const auto div = first_divergence(served, engine.infer_batch(inputs));
+  EXPECT_TRUE(div.ok()) << div.report();
+}
+
 TEST(Replay, DlrmServedBitwiseMatchesOfflineBatch) {
   recsys::DlrmConfig mcfg;
   mcfg.num_tables = 4;
@@ -193,13 +233,16 @@ TEST(Replay, DlrmServedBitwiseMatchesOfflineBatch) {
     testkit::ThreadScope scope(threads);
     std::vector<float> served(samples.size(), 0.0f);
     const auto backend = dlrm_backend(model);
-    replay_trace(trace, cfg, [&](std::span<const std::size_t> ids) {
-      std::vector<data::ClickSample> batch;
-      batch.reserve(ids.size());
-      for (std::size_t id : ids) batch.push_back(samples[id]);
-      const std::vector<float> probs = backend(batch);
-      for (std::size_t i = 0; i < ids.size(); ++i) served[ids[i]] = probs[i];
-    });
+    replay_trace(
+        trace, cfg, [&](std::span<const std::size_t> ids, std::uint64_t) {
+          std::vector<data::ClickSample> batch;
+          batch.reserve(ids.size());
+          for (std::size_t id : ids) batch.push_back(samples[id]);
+          const std::vector<float> probs = backend(batch);
+          for (std::size_t i = 0; i < ids.size(); ++i) {
+            served[ids[i]] = probs[i];
+          }
+        });
     return served;
   };
 
@@ -226,8 +269,6 @@ TEST(Replay, CachedDlrmServedBitwiseMatchesOfflineAcrossThreads) {
   Rng mrng(21);
   recsys::Dlrm model(mcfg, mrng);
 
-  EXPECT_THROW(cached_dlrm_backend(model), std::invalid_argument)
-      << "adapter must reject a model without an enabled cache";
   model.enable_embedding_cache(/*hot_rows=*/32, /*bits=*/8);
 
   data::ClickLogConfig lcfg;
@@ -246,17 +287,20 @@ TEST(Replay, CachedDlrmServedBitwiseMatchesOfflineAcrossThreads) {
   cfg.service_ns = 90000;
 
   const std::vector<float> offline = model.predict_batch(samples);
-  const auto backend = cached_dlrm_backend(model);
+  const auto backend = dlrm_backend(model);
   for (std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
     testkit::ThreadScope scope(threads);
     std::vector<float> served(samples.size(), 0.0f);
-    replay_trace(trace, cfg, [&](std::span<const std::size_t> ids) {
-      std::vector<data::ClickSample> batch;
-      batch.reserve(ids.size());
-      for (std::size_t id : ids) batch.push_back(samples[id]);
-      const std::vector<float> probs = backend(batch);
-      for (std::size_t i = 0; i < ids.size(); ++i) served[ids[i]] = probs[i];
-    });
+    replay_trace(
+        trace, cfg, [&](std::span<const std::size_t> ids, std::uint64_t) {
+          std::vector<data::ClickSample> batch;
+          batch.reserve(ids.size());
+          for (std::size_t id : ids) batch.push_back(samples[id]);
+          const std::vector<float> probs = backend(batch);
+          for (std::size_t i = 0; i < ids.size(); ++i) {
+            served[ids[i]] = probs[i];
+          }
+        });
     const auto div = first_divergence(as_row(served), as_row(offline));
     EXPECT_TRUE(div.ok()) << "threads=" << threads << ": " << div.report();
   }
@@ -287,13 +331,14 @@ TEST(Replay, WideAndDeepServedBitwiseMatchesOfflineBatch) {
 
   std::vector<float> served(samples.size(), 0.0f);
   const auto backend = wide_and_deep_backend(model);
-  replay_trace(trace, cfg, [&](std::span<const std::size_t> ids) {
-    std::vector<data::ClickSample> batch;
-    batch.reserve(ids.size());
-    for (std::size_t id : ids) batch.push_back(samples[id]);
-    const std::vector<float> probs = backend(batch);
-    for (std::size_t i = 0; i < ids.size(); ++i) served[ids[i]] = probs[i];
-  });
+  replay_trace(
+      trace, cfg, [&](std::span<const std::size_t> ids, std::uint64_t) {
+        std::vector<data::ClickSample> batch;
+        batch.reserve(ids.size());
+        for (std::size_t id : ids) batch.push_back(samples[id]);
+        const std::vector<float> probs = backend(batch);
+        for (std::size_t i = 0; i < ids.size(); ++i) served[ids[i]] = probs[i];
+      });
 
   const std::vector<float> offline = model.predict_batch(samples);
   const auto div = first_divergence(as_row(served), as_row(offline));
@@ -320,14 +365,15 @@ TEST(Replay, SearchServedLabelsMatchOffline) {
 
   std::vector<std::size_t> served(n, memory + 1);
   const auto backend = search_backend(index);
-  replay_trace(trace, cfg, [&](std::span<const std::size_t> ids) {
-    std::vector<Vector> batch;
-    for (std::size_t id : ids) {
-      batch.emplace_back(queries.row(id).begin(), queries.row(id).end());
-    }
-    const std::vector<std::size_t> labels = backend(batch);
-    for (std::size_t i = 0; i < ids.size(); ++i) served[ids[i]] = labels[i];
-  });
+  replay_trace(
+      trace, cfg, [&](std::span<const std::size_t> ids, std::uint64_t) {
+        std::vector<Vector> batch;
+        for (std::size_t id : ids) {
+          batch.emplace_back(queries.row(id).begin(), queries.row(id).end());
+        }
+        const std::vector<std::size_t> labels = backend(batch);
+        for (std::size_t i = 0; i < ids.size(); ++i) served[ids[i]] = labels[i];
+      });
   EXPECT_EQ(served, offline);
 }
 
@@ -345,7 +391,8 @@ TEST(Replay, BackpressureRejectsDeterministically) {
   cfg.service_ns = 1000000;
 
   const ReplayResult r =
-      replay_trace(trace, cfg, [](std::span<const std::size_t>) {});
+      replay_trace(trace, cfg,
+                   [](std::span<const std::size_t>, std::uint64_t) {});
   for (std::size_t id = 0; id < 4; ++id) {
     EXPECT_EQ(r.outcomes[id].status, Status::kOk) << "id " << id;
   }
@@ -370,7 +417,8 @@ TEST(Replay, BackpressureBlockingAdmitsEveryoneInFifoWaves) {
   cfg.service_ns = 1000000;
 
   const ReplayResult r =
-      replay_trace(trace, cfg, [](std::span<const std::size_t>) {});
+      replay_trace(trace, cfg,
+                   [](std::span<const std::size_t>, std::uint64_t) {});
   EXPECT_EQ(r.stats.rejected, 0u);
   EXPECT_EQ(r.stats.completed, 10u);
   ASSERT_EQ(r.batches.size(), 3u);
@@ -391,9 +439,10 @@ TEST(Replay, ExpiredDeadlineIsShedNeverExecuted) {
 
   std::vector<std::size_t> executed;
   const ReplayResult r =
-      replay_trace(trace, cfg, [&](std::span<const std::size_t> ids) {
-        executed.insert(executed.end(), ids.begin(), ids.end());
-      });
+      replay_trace(
+          trace, cfg, [&](std::span<const std::size_t> ids, std::uint64_t) {
+            executed.insert(executed.end(), ids.begin(), ids.end());
+          });
   EXPECT_EQ(r.outcomes[0].status, Status::kTimedOut);
   EXPECT_EQ(r.outcomes[0].latency_ns, 100000u);
   EXPECT_EQ(r.outcomes[1].status, Status::kOk);
@@ -625,46 +674,43 @@ TEST(Replay, ScriptedSwapPartitionsBatchesByVersionByteReproducibly) {
 }
 
 TEST(Replay, NoSwapsKeepsBoundaryLogByteIdenticalToPreSwapFormat) {
+  // One log format: with no swap scripted there is no swap line, and the
+  // batch line still names the version it ran on.
   std::vector<TraceEvent> trace(4);
   ReplayConfig cfg;
   cfg.serve.max_batch = 4;
-  const ReplayResult r =
-      replay_trace(trace, cfg, [](std::span<const std::size_t>) {});
+  const ReplayResult r = replay_trace(
+      trace, cfg, [](std::span<const std::size_t>, std::uint64_t) {});
   const std::string log = r.boundary_log();
   EXPECT_EQ(log.find("swap"), std::string::npos);
-  EXPECT_EQ(log.find(" v="), std::string::npos);
-  EXPECT_EQ(log, "batch 0: t=0ns reason=size n=4 ids=[0,1,2,3] shed=[]\n");
+  EXPECT_EQ(log, "batch 0: t=0ns reason=size n=4 ids=[0,1,2,3] shed=[] v=0\n");
 }
 
 TEST(Replay, NoResizesKeepShardedBoundaryLogByteIdenticalToPreResizeFormat) {
-  // The sharded log's resize annotations follow the same
-  // log-only-when-present rule as the swap annotations: a resize-free
-  // replay_sharded renders exactly the pre-resize per-shard format, so every
-  // pinned sharded log stays valid.
+  // With no resize scripted, a one-shard replay_sharded renders exactly the
+  // plain replay_trace log of the resolved tenant table under one "shard 0:"
+  // header: no resize lines, no per-batch shard tags.
   std::vector<TraceEvent> trace(4);
   ShardedReplayConfig scfg;
   scfg.replay.serve.max_batch = 4;
   scfg.num_shards = 1;
   const ShardedReplayResult r = replay_sharded(
-      trace, scfg, [](std::size_t, std::span<const std::size_t>) {});
+      trace, scfg,
+      [](std::size_t, std::span<const std::size_t>, std::uint64_t) {});
   const std::string log = r.boundary_log();
-  EXPECT_EQ(log, "shard 0:\nbatch 0: t=0ns reason=size n=4 ids=[0,1,2,3] shed=[]\n");
+  EXPECT_EQ(log,
+            "shard 0:\nbatch 0: t=0ns reason=size n=4 ids=[0,1,2,3] shed=[] "
+            "v=0\n");
+  ReplayConfig resolved = scfg.replay;
+  resolved.tenants =
+      resolve_tenants(resolved.tenants, resolved.serve.admission);
+  const ReplayResult plain = replay_trace(
+      trace, resolved, [](std::span<const std::size_t>, std::uint64_t) {});
+  EXPECT_EQ(log, "shard 0:\n" + plain.boundary_log());
   EXPECT_EQ(log.find("resize"), std::string::npos);
   EXPECT_EQ(log.find(" s="), std::string::npos);
   EXPECT_TRUE(r.resizes.empty());
   EXPECT_EQ(r.live, (std::vector<std::uint8_t>{1}));
-}
-
-TEST(Replay, ScriptedResizeIsRejectedBySingleServerReplay) {
-  // A single-server replay has no shard set to change: a config carrying
-  // resizes is a misuse, rejected loudly instead of silently ignored.
-  std::vector<TraceEvent> trace(4);
-  ReplayConfig cfg;
-  cfg.serve.max_batch = 4;
-  cfg.resizes = {{0, ResizeEvent::Kind::kAdd, 1}};
-  EXPECT_THROW(
-      replay_trace(trace, cfg, [](std::span<const std::size_t>) {}),
-      std::exception);
 }
 
 TEST(Replay, SwapAfterLastFlushNeverActivates) {

@@ -166,12 +166,12 @@ TEST(ServeFault, PoolDelayMidBatchStillCompletesEveryRequest) {
   EXPECT_EQ(stats.shed, 0u);
 }
 
-// --- shard-death campaign (replay_sharded + mask_exec_faults) ---------------
+// --- shard-death campaign (replay_sharded typed faults) ---------------------
 
 /// One deterministic run of the campaign: shard kDead serves its first batch
-/// and then dies (every later exec on it throws). mask_exec_faults turns each
-/// failed batch into typed kError outcomes, live-Server style, and the other
-/// shards keep serving. Returns everything a byte-reproducibility diff needs.
+/// and then dies (every later exec on it throws). Replay types each failed
+/// batch kError, live-Server style, and the other shards keep serving.
+/// Returns everything a byte-reproducibility diff needs.
 struct ShardDeathRun {
   std::string report;               // boundary log + status/count summary
   std::vector<Status> statuses;     // per request, trace order
@@ -187,7 +187,6 @@ ShardDeathRun run_shard_death_campaign(const nn::Mlp& net, const Matrix& inputs,
   scfg.replay.serve.max_batch = 4;
   scfg.replay.serve.max_wait_ns = 100000;
   scfg.replay.service_ns = 50000;
-  scfg.replay.mask_exec_faults = true;
   scfg.num_shards = 4;
 
   ShardDeathRun run;
@@ -196,7 +195,9 @@ ShardDeathRun run_shard_death_campaign(const nn::Mlp& net, const Matrix& inputs,
   std::vector<std::size_t> batches_on(scfg.num_shards, 0);
 
   const ShardedReplayResult result = replay_sharded(
-      trace, scfg, [&](std::size_t shard, std::span<const std::size_t> ids) {
+      trace, scfg,
+      [&](std::size_t shard, std::span<const std::size_t> ids,
+          std::uint64_t) {
         ++batches_on[shard];
         if (shard == dead_shard && batches_on[shard] > 1) {
           throw std::runtime_error("shard died mid-trace");
@@ -275,13 +276,18 @@ TEST(ServeFault, DeadShardYieldsTypedErrorsOnlyForItsRequests) {
 }
 
 TEST(ServeFault, ReplayPropagatesBackendFailureLoudly) {
-  // The replay harness makes no fault-masking promise: a backend failure
-  // surfaces as the original exception, never as silently-missing outputs.
+  // A backend failure is never silently-missing outputs: the replay types
+  // the failing batch kError, as Server::run_batch does, and keeps serving.
+  // The one-shot allocation failure fires in the first wave's batch; the
+  // second wave completes with the bitwise offline result.
   const nn::Mlp net = make_mlp(5);
-  const Matrix inputs = random_inputs(4, 64, 6);
-  std::vector<TraceEvent> trace(4);  // burst at t=0
+  const Matrix inputs = random_inputs(8, 64, 6);
+  const Matrix offline = net.infer_batch(inputs);
+  std::vector<TraceEvent> trace(8);  // two bursts of four, 1 ms apart
+  for (std::size_t i = 4; i < 8; ++i) trace[i].arrival_ns = 1000000;
   ReplayConfig cfg;
   cfg.serve.max_batch = 4;
+  Matrix served(8, net.output_dim());
 
   testkit::FaultSpec spec;
   spec.kind = testkit::FaultKind::kAllocFail;
@@ -289,17 +295,33 @@ TEST(ServeFault, ReplayPropagatesBackendFailureLoudly) {
   testkit::ScopedProcessFault fault(spec);
 
   const auto backend = mlp_logits_backend(net);
-  EXPECT_THROW(
-      replay_trace(trace, cfg,
-                   [&](std::span<const std::size_t> ids) {
-                     std::vector<Vector> batch;
-                     for (std::size_t id : ids) {
-                       batch.emplace_back(inputs.row(id).begin(),
-                                          inputs.row(id).end());
-                     }
-                     (void)backend(batch);
-                   }),
-      std::bad_alloc);
+  const ReplayResult r = replay_trace(
+      trace, cfg, [&](std::span<const std::size_t> ids, std::uint64_t) {
+        std::vector<Vector> batch;
+        for (std::size_t id : ids) {
+          batch.emplace_back(inputs.row(id).begin(), inputs.row(id).end());
+        }
+        const std::vector<Vector> outs = backend(batch);
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+          std::copy(outs[i].begin(), outs[i].end(), served.row(ids[i]).begin());
+        }
+      });
+
+  ASSERT_EQ(r.batches.size(), 2u);
+  for (std::size_t id = 0; id < 4; ++id) {
+    EXPECT_EQ(r.outcomes[id].status, Status::kError) << "id " << id;
+  }
+  for (std::size_t id = 4; id < 8; ++id) {
+    EXPECT_EQ(r.outcomes[id].status, Status::kOk) << "id " << id;
+    EXPECT_EQ(std::memcmp(served.row(id).data(), offline.row(id).data(),
+                          offline.cols() * sizeof(float)),
+              0)
+        << "id " << id;
+  }
+  EXPECT_EQ(r.stats.errors, 4u);
+  EXPECT_EQ(r.stats.completed, 4u);
+  EXPECT_EQ(r.stats.batches, 1u) << "a failed batch is not an executed one";
+  EXPECT_EQ(r.tenant_stats[0].errors, 4u);
 }
 
 // --- resize fault campaign: migration faults vs the all-or-nothing commit ---

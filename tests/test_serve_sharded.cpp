@@ -9,8 +9,10 @@
 //
 // Replay tests pin the SLO isolation properties in virtual time, where they
 // are exact: a saturating tenant collects every reject itself, a deadline
-// shed lands on the tenant that owns the deadline, and the sharded replay
-// with one shard reduces byte-for-byte to the plain replay harness.
+// shed lands on the tenant that owns the deadline, the live gate tests'
+// replay twins hold a tenant's slot to completion as the gate does, and the
+// sharded replay with one shard reduces byte-for-byte to the plain replay
+// harness.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -280,7 +282,8 @@ TEST(ReplayTenants, SaturatingTenantCollectsEveryRejectItself) {
   cfg.tenants = {burst, paced};
 
   const ReplayResult r =
-      replay_trace(trace, cfg, [](std::span<const std::size_t>) {});
+      replay_trace(trace, cfg,
+                   [](std::span<const std::size_t>, std::uint64_t) {});
 
   EXPECT_EQ(r.tenant_stats[0].submitted, 64u);
   EXPECT_EQ(r.tenant_stats[0].completed, 8u);
@@ -330,12 +333,106 @@ TEST(ReplayTenants, BlockedSaturatingTenantDrainsWithoutStarvingNeighbor) {
   cfg.tenants = {burst, paced};
 
   const ReplayResult r =
-      replay_trace(trace, cfg, [](std::span<const std::size_t>) {});
+      replay_trace(trace, cfg,
+                   [](std::span<const std::size_t>, std::uint64_t) {});
   EXPECT_EQ(r.tenant_stats[0].completed, 64u);
   EXPECT_EQ(r.tenant_stats[0].rejected, 0u);
   EXPECT_EQ(r.tenant_stats[1].completed, 8u);
   EXPECT_EQ(r.tenant_stats[1].rejected, 0u);
   EXPECT_EQ(r.stats.completed, 72u);
+}
+
+// The replay twins of the live tenant-gate tests: a request holds its
+// tenant's slot until its terminal status, not until it is collated.
+
+TEST(ReplayTenants, OverBudgetTenantRejectsWithoutTouchingNeighbor) {
+  // MultiShardServer.OverBudgetTenantRejectsWithoutTouchingNeighbor in
+  // virtual time: greedy's first request is still executing (0..1000 ns)
+  // when its second arrives, so the second is over quota and rejected; the
+  // neighbour's request admits and completes.
+  ReplayConfig cfg;
+  cfg.serve.max_batch = 1;
+  cfg.serve.max_wait_ns = 0;
+  cfg.serve.queue_capacity = 8;
+  cfg.service_ns = 1000;
+  TenantPolicy greedy;  // quota floor(0.125 * 8) = 1 outstanding request
+  greedy.name = "greedy";
+  greedy.queue_share = 0.125;
+  greedy.admission = AdmissionPolicy::kReject;
+  TenantPolicy neighbor;
+  neighbor.name = "neighbor";
+  neighbor.queue_share = 0.5;
+  neighbor.admission = AdmissionPolicy::kReject;
+  cfg.tenants = {greedy, neighbor};
+  const std::vector<TraceEvent> trace = {
+      {0, 0, 0, 0}, {1, 0, 0, 0}, {2, 0, 0, 1}};
+
+  const ReplayResult r = replay_trace(
+      trace, cfg, [](std::span<const std::size_t>, std::uint64_t) {});
+  EXPECT_EQ(r.outcomes[0].status, Status::kOk);
+  EXPECT_EQ(r.outcomes[1].status, Status::kRejected);
+  EXPECT_EQ(r.outcomes[2].status, Status::kOk);
+  EXPECT_EQ(r.tenant_stats[0].completed, 1u);
+  EXPECT_EQ(r.tenant_stats[0].rejected, 1u);
+  EXPECT_EQ(r.tenant_stats[1].completed, 1u);
+  EXPECT_EQ(r.tenant_stats[1].rejected, 0u);
+  // The neighbour waits only for the executor, which frees at 1000 ns.
+  ASSERT_EQ(r.batches.size(), 2u);
+  EXPECT_EQ(r.batches[1].executed, (std::vector<std::size_t>{2}));
+  EXPECT_EQ(r.batches[1].flush_ns, 1000u);
+}
+
+TEST(ReplayTenants, BlockedTenantIsAdmittedAtCompletionNotAtCollation) {
+  // kBlock twin: greedy (quota 1) sends at 0 and 1 ns. The first flushes by
+  // window at 500 ns and completes at 1500 ns; only then does the second
+  // take the slot, so its window starts at 1500 ns and it flushes at 2000 ns.
+  ReplayConfig cfg;
+  cfg.serve.max_batch = 2;
+  cfg.serve.max_wait_ns = 500;
+  cfg.serve.queue_capacity = 8;
+  cfg.service_ns = 1000;
+  TenantPolicy greedy;
+  greedy.queue_share = 0.125;
+  greedy.admission = AdmissionPolicy::kBlock;
+  cfg.tenants = {greedy};
+  const std::vector<TraceEvent> trace = {{0, 0}, {1, 0}};
+
+  const ReplayResult r = replay_trace(
+      trace, cfg, [](std::span<const std::size_t>, std::uint64_t) {});
+  ASSERT_EQ(r.batches.size(), 2u);
+  EXPECT_EQ(r.batches[0].flush_ns, 500u);
+  EXPECT_EQ(r.batches[0].executed, (std::vector<std::size_t>{0}));
+  EXPECT_EQ(r.batches[1].flush_ns, 2000u);
+  EXPECT_EQ(r.batches[1].reason, FlushReason::kWindow);
+  EXPECT_EQ(r.batches[1].executed, (std::vector<std::size_t>{1}));
+  EXPECT_EQ(r.outcomes[1].status, Status::kOk);
+  EXPECT_EQ(r.outcomes[1].done_ns, 3000u);
+}
+
+TEST(ReplayTenants, ShedRequestFreesItsSlotAtItsFlush) {
+  // Request 0 (quota 1) is shed at its 100 ns window flush: it reaches its
+  // terminal status there, so the blocked request 1 takes the slot at that
+  // flush instead of waiting for any completion.
+  ReplayConfig cfg;
+  cfg.serve.max_batch = 4;
+  cfg.serve.max_wait_ns = 100;
+  cfg.serve.queue_capacity = 8;
+  cfg.service_ns = 1000;
+  TenantPolicy patient;
+  patient.queue_share = 0.125;
+  patient.admission = AdmissionPolicy::kBlock;
+  cfg.tenants = {patient};
+  const std::vector<TraceEvent> trace = {{0, 50}, {10, 0}};
+
+  const ReplayResult r = replay_trace(
+      trace, cfg, [](std::span<const std::size_t>, std::uint64_t) {});
+  EXPECT_EQ(r.outcomes[0].status, Status::kTimedOut);
+  EXPECT_EQ(r.outcomes[0].done_ns, 100u);
+  ASSERT_EQ(r.batches.size(), 2u);
+  EXPECT_EQ(r.batches[0].shed, (std::vector<std::size_t>{0}));
+  EXPECT_EQ(r.batches[1].flush_ns, 200u) << "window from the shed flush";
+  EXPECT_EQ(r.batches[1].executed, (std::vector<std::size_t>{1}));
+  EXPECT_EQ(r.outcomes[1].status, Status::kOk);
 }
 
 TEST(ReplayTenants, DeadlineShedLandsOnTheTenantThatOwnsTheDeadline) {
@@ -358,9 +455,10 @@ TEST(ReplayTenants, DeadlineShedLandsOnTheTenantThatOwnsTheDeadline) {
 
   std::vector<std::size_t> executed;
   const ReplayResult r =
-      replay_trace(trace, cfg, [&](std::span<const std::size_t> ids) {
-        executed.insert(executed.end(), ids.begin(), ids.end());
-      });
+      replay_trace(
+          trace, cfg, [&](std::span<const std::size_t> ids, std::uint64_t) {
+            executed.insert(executed.end(), ids.begin(), ids.end());
+          });
   EXPECT_EQ(r.outcomes[0].status, Status::kOk);
   EXPECT_EQ(r.outcomes[1].status, Status::kTimedOut);
   EXPECT_EQ(r.outcomes[2].status, Status::kOk);
@@ -406,16 +504,19 @@ TEST(ShardedReplay, OneShardReducesByteForByteToPlainReplay) {
 
   std::vector<std::size_t> plain_order;
   const ReplayResult plain =
-      replay_trace(trace, cfg, [&](std::span<const std::size_t> ids) {
-        plain_order.insert(plain_order.end(), ids.begin(), ids.end());
-      });
+      replay_trace(
+          trace, cfg, [&](std::span<const std::size_t> ids, std::uint64_t) {
+            plain_order.insert(plain_order.end(), ids.begin(), ids.end());
+          });
 
   ShardedReplayConfig scfg;
   scfg.replay = cfg;
   scfg.num_shards = 1;
   std::vector<std::size_t> sharded_order;
   const ShardedReplayResult sharded = replay_sharded(
-      trace, scfg, [&](std::size_t shard, std::span<const std::size_t> ids) {
+      trace, scfg,
+      [&](std::size_t shard, std::span<const std::size_t> ids,
+          std::uint64_t) {
         EXPECT_EQ(shard, 0u);
         sharded_order.insert(sharded_order.end(), ids.begin(), ids.end());
       });
@@ -447,7 +548,9 @@ TEST(ShardedReplay, RoutesEveryRequestToItsRingOwnerAndReportsPerShard) {
 
   std::vector<std::vector<std::size_t>> executed_on(kShards);
   const ShardedReplayResult r = replay_sharded(
-      trace, scfg, [&](std::size_t shard, std::span<const std::size_t> ids) {
+      trace, scfg,
+      [&](std::size_t shard, std::span<const std::size_t> ids,
+          std::uint64_t) {
         ASSERT_LT(shard, kShards);
         executed_on[shard].insert(executed_on[shard].end(), ids.begin(),
                                   ids.end());
