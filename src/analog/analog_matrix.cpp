@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/check.h"
 #include "core/parallel.h"
@@ -261,8 +262,14 @@ void AnalogMatrix::program(const Matrix& target, int iterations) {
         const float err = goal - w_(r, c);
         const float step = expected_step(r, c, err > 0.0f);
         if (std::abs(step) < 1e-12f) continue;
-        const int n = static_cast<int>(err / step);
-        if (n != 0) pulse_element(r, c, err > 0.0f ? std::abs(n) : -std::abs(n));
+        // The pulse count converts to int: check it as a double first, so a
+        // step too small for the distance (past INT_MAX pulses) is rejected
+        // before this cell fires a pulse instead of converting undefinedly.
+        const double count = std::abs(static_cast<double>(err / step));
+        ENW_CHECK_MSG(count <= static_cast<double>(std::numeric_limits<int>::max()),
+                      "program: goal needs more pulses than a pass can fire");
+        const int n = static_cast<int>(count);
+        if (n != 0) pulse_element(r, c, err > 0.0f ? n : -n);
       }
     }
   }

@@ -95,7 +95,9 @@ class AnalogMatrix {
   /// `iterations` verify/correct rounds. Values are clipped to what each
   /// device can reach: its [w_min, w_max] range, short of its soft bounds
   /// (w <= 1 / slope_up, w >= -1 / slope_down). Stuck devices retain their
-  /// state.
+  /// state. Throws std::invalid_argument, before that cell fires a pulse,
+  /// when a cell's pass would need more than INT_MAX pulses (a step far too
+  /// small for the distance to its goal).
   void program(const Matrix& target, int iterations = 10);
 
   /// Expected weight change of a single up (or down) pulse at the current

@@ -20,36 +20,39 @@
 // ~K/(N+1) keys consistent hashing promises. remove_shard first removes the
 // member from the ring (no NEW request can route there), then drains the
 // victim: requests already admitted complete on the old shard ("complete on
-// old"), requests parked at its gate or queue wake with kShutdown and
-// submit() transparently re-routes them with the updated ring ("reroute to
-// new") — every in-flight request reaches exactly one typed terminal
-// status, never dropped, never served by two shards. Shard ids are never
+// old"), requests blocked in its queue wake with kShutdown and submit()
+// transparently re-routes them with the updated ring ("reroute to new") —
+// every in-flight request reaches exactly one typed terminal status, never
+// dropped, never served by two shards. Shard ids are never
 // reused; a removed shard's slot is retired (kept for id-indexed reports)
 // and its Shard object lives until destruction so stragglers drain safely.
 // Membership reads take a shared lock; only resizes take it exclusively,
 // and resizes/swaps serialize on one control-plane mutex.
 //
-// Tenant isolation: each tenant owns a bounded quota of every shard's
-// admission slots (tenant_quota: floor(queue_share * queue_capacity),
-// min 1). The quota gate counts the tenant's OUTSTANDING requests per shard
-// — queued, collated, or executing — which upper-bounds the tenant's queue
-// occupancy, so a tenant saturating its quota can exhaust neither the shard
-// queue nor another tenant's slots. Over-quota behaviour follows the
-// tenant's own admission policy: kReject fails fast with Status::kRejected
-// before touching the shard queue; kBlock waits at the gate until the
-// tenant drops below quota (or shutdown/retirement wakes it).
+// Tenant isolation: every shard's Server runs this layer's resolved tenant
+// table, so each tenant owns a bounded quota of every shard's admission
+// slots (tenant_quota: floor(queue_share * queue_capacity), min 1). The
+// shard's ServeCore (serve_core.h) enforces it at admission, under the
+// shard's one lock: a request holds one of its tenant's slots from
+// admission to its terminal status — queued, collated, or executing — so a
+// tenant saturating its quota can exhaust neither the shard queue nor
+// another tenant's slots. Over-quota or full-queue behaviour follows the
+// tenant's own admission policy: kReject fails fast with Status::kRejected;
+// kBlock waits, holding no slot, in the shard's blocked FIFO until a
+// collation or completion makes room (or shutdown/retirement cancels it).
+// Quota rejections count in the shard's stats like any other reject.
 //
 // Accounting: per-tenant terminal-status counters and completed-request
 // latency samples (p50/p99 via percentile_ns), per-shard routed counts for
 // the load-imbalance statistic (live shards only after a resize), a
 // rerouted() counter and ResizeRecord history for the rebalance transients,
 // and obs counter families "serve.shard.routed.<s>" /
-// "serve.tenant.<status>.<t>" / "serve.shard.resize.*".
+// "serve.tenant.<field>.<t>" (one per TenantReport status field) /
+// "serve.shard.resize.*".
 #pragma once
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -106,18 +109,14 @@ class MultiShardServer {
   MultiShardServer(const MultiShardConfig& cfg, const BackendFactory& factory)
       : cfg_(normalize(cfg)), router_(cfg_.num_shards, cfg_.vnodes) {
     ENW_CHECK_MSG(static_cast<bool>(factory), "backend factory must be callable");
-    quotas_.reserve(cfg_.tenants.size());
-    for (const TenantPolicy& t : cfg_.tenants) {
-      quotas_.push_back(tenant_quota(t, cfg_.shard.queue_capacity));
-    }
     tenants_.reserve(cfg_.tenants.size());
     for (std::size_t t = 0; t < cfg_.tenants.size(); ++t) {
       tenants_.push_back(std::make_unique<TenantState>());
     }
     shards_.reserve(cfg_.num_shards);
     for (std::size_t s = 0; s < cfg_.num_shards; ++s) {
-      shards_.push_back(std::make_unique<Shard>(cfg_.shard, factory(s),
-                                                cfg_.tenants.size()));
+      shards_.push_back(
+          std::make_unique<Shard>(cfg_.shard, factory(s), cfg_.tenants));
     }
   }
 
@@ -152,7 +151,6 @@ class MultiShardServer {
   Reply submit(const In& input, std::uint64_t key, std::size_t tenant = 0) {
     ENW_SPAN("serve.shard.submit");
     ENW_CHECK_MSG(tenant < cfg_.tenants.size(), "unknown tenant id");
-    const TenantPolicy& policy = cfg_.tenants[tenant];
     for (;;) {
       Shard* shard;
       std::size_t s;
@@ -164,65 +162,18 @@ class MultiShardServer {
       shard->routed.fetch_add(1, std::memory_order_relaxed);
       obs::counter_add_indexed("serve.shard.routed", s, 1);
 
-      // Tenant quota gate: bound this tenant's outstanding requests on the
-      // shard BEFORE touching the shard queue, so its over-budget traffic is
-      // turned away (or parked) without consuming shared admission slots.
-      {
-        std::unique_lock<std::mutex> lk(shard->gate_mu);
-        while (shard->outstanding[tenant] >= quotas_[tenant] &&
-               !shard->stopping) {
-          if (policy.admission == AdmissionPolicy::kReject) {
-            Reply reply;
-            reply.status = Status::kRejected;
-            record(tenant, reply);
-            obs::counter_add_indexed("serve.tenant.rejected", tenant, 1);
-            return reply;
-          }
-          shard->gate_cv.wait(lk);
-        }
-        if (shard->stopping) {
-          if (!stopping_.load(std::memory_order_acquire)) {
-            // Shard retired, server still running: re-route with the
-            // post-resize ring. The request was never admitted here, so the
-            // retry cannot double-serve it.
-            lk.unlock();
-            rerouted_.fetch_add(1, std::memory_order_relaxed);
-            obs::counter_add("serve.shard.resize.rerouted", 1);
-            continue;
-          }
-          Reply reply;
-          reply.status = Status::kShutdown;
-          record(tenant, reply);
-          return reply;
-        }
-        ++shard->outstanding[tenant];
-      }
-
-      const std::uint64_t deadline =
-          policy.deadline_ns == 0 ? 0 : monotonic_now_ns() + policy.deadline_ns;
-      Reply reply = shard->server.submit(input, deadline, policy.admission);
-
-      {
-        std::lock_guard<std::mutex> lk(shard->gate_mu);
-        --shard->outstanding[tenant];
-        shard->gate_cv.notify_all();
-      }
+      Reply reply = shard->server.submit(input, /*deadline_ns=*/0, tenant);
       if (reply.status == Status::kShutdown &&
           !stopping_.load(std::memory_order_acquire)) {
-        // The shard began draining for retirement while this request was
-        // parked on its full queue — Server::shutdown wakes those with
-        // kShutdown WITHOUT admitting them, so re-routing serves the request
-        // exactly once on its new owner.
+        // The shard retired before admitting this request: it arrived after
+        // the shard began draining, or waited blocked until the drain
+        // cancelled it. Either way it was never admitted there, so re-routing
+        // with the post-resize ring serves it exactly once on its new owner.
         rerouted_.fetch_add(1, std::memory_order_relaxed);
         obs::counter_add("serve.shard.resize.rerouted", 1);
         continue;
       }
       record(tenant, reply);
-      if (reply.status == Status::kTimedOut) {
-        obs::counter_add_indexed("serve.tenant.shed", tenant, 1);
-      } else if (reply.status == Status::kOk) {
-        obs::counter_add_indexed("serve.tenant.completed", tenant, 1);
-      }
       return reply;
     }
   }
@@ -239,8 +190,7 @@ class MultiShardServer {
     ENW_CHECK_MSG(static_cast<bool>(factory), "backend factory must be callable");
     std::lock_guard<std::mutex> resize_lk(resize_mu_);
     const std::size_t id = router_.next_shard_id();  // stable under resize_mu_
-    auto shard =
-        std::make_unique<Shard>(cfg_.shard, factory(id), cfg_.tenants.size());
+    auto shard = std::make_unique<Shard>(cfg_.shard, factory(id), cfg_.tenants);
     {
       std::unique_lock<std::shared_mutex> lk(route_mu_);
       shards_.push_back(std::move(shard));
@@ -254,8 +204,8 @@ class MultiShardServer {
 
   /// Retire shard `s` under live traffic. The ring loses the member first
   /// (no NEW request can route there), then the victim drains: admitted
-  /// requests complete on the old shard, gate/queue waiters wake and
-  /// re-route via submit()'s retry loop. Returns when the victim has fully
+  /// requests complete on the old shard, blocked ones wake with kShutdown
+  /// and re-route via submit()'s retry loop. Returns when the victim has fully
   /// drained. The slot stays addressable (retired) and ids are not reused.
   void remove_shard(std::size_t s) {
     std::lock_guard<std::mutex> resize_lk(resize_mu_);
@@ -270,12 +220,7 @@ class MultiShardServer {
       shard = shards_[s].get();
       shard->retired.store(true, std::memory_order_release);
     }
-    {
-      std::lock_guard<std::mutex> lk(shard->gate_mu);
-      shard->stopping = true;
-      shard->gate_cv.notify_all();
-    }
-    shard->server.shutdown();  // drains admitted; queue waiters wake kShutdown
+    shard->server.shutdown();  // drains admitted; blocked ones get kShutdown
     record_resize(false, s);
     obs::counter_add("serve.shard.resize.removed", 1);
   }
@@ -316,19 +261,12 @@ class MultiShardServer {
     return v;
   }
 
-  /// Stop every shard: gate waiters wake with Status::kShutdown, each shard
-  /// server drains its admitted requests. Idempotent.
+  /// Stop every shard: blocked submitters wake with Status::kShutdown, each
+  /// shard server drains its admitted requests. Idempotent.
   void shutdown() {
     stopping_.store(true, std::memory_order_release);
     std::lock_guard<std::mutex> resize_lk(resize_mu_);  // freeze membership
-    for (auto& shard : shards_) {
-      {
-        std::lock_guard<std::mutex> lk(shard->gate_mu);
-        shard->stopping = true;
-        shard->gate_cv.notify_all();
-      }
-      shard->server.shutdown();
-    }
+    for (auto& shard : shards_) shard->server.shutdown();
   }
 
   TenantReport tenant_report(std::size_t tenant) const {
@@ -345,8 +283,8 @@ class MultiShardServer {
     return r;
   }
 
-  /// Requests routed to each shard slot (admission-gate outcomes included;
-  /// a re-routed request counts on every shard it touched).
+  /// Requests routed to each shard slot (rejected ones included; a
+  /// re-routed request counts on every shard it touched).
   std::vector<std::uint64_t> routed_per_shard() const {
     std::shared_lock<std::shared_mutex> lk(route_mu_);
     std::vector<std::uint64_t> counts;
@@ -400,17 +338,13 @@ class MultiShardServer {
 
  private:
   struct Shard {
-    Shard(const ServeConfig& cfg, BatchFn fn, std::size_t tenants)
-        : server(cfg, std::move(fn)), outstanding(tenants, 0) {}
+    Shard(const ServeConfig& cfg, BatchFn fn,
+          const std::vector<TenantPolicy>& tenants)
+        : server(cfg, std::move(fn), tenants) {}
 
     Server<In, Out> server;
     std::atomic<std::uint64_t> routed{0};
     std::atomic<bool> retired{false};  // removed from the ring; draining/done
-
-    std::mutex gate_mu;
-    std::condition_variable gate_cv;
-    std::vector<std::size_t> outstanding;  // per tenant
-    bool stopping = false;
   };
 
   struct TenantState {
@@ -425,28 +359,37 @@ class MultiShardServer {
     return cfg;
   }
 
+  /// Count one terminal status in the tenant's report and in the obs
+  /// counter "serve.tenant.<field>.<tenant>", field named as in TenantReport.
   void record(std::size_t tenant, const Reply& reply) {
     TenantState& t = *tenants_[tenant];
     std::lock_guard<std::mutex> lk(t.mu);
     ++t.report.submitted;
+    const char* counter = nullptr;
     switch (reply.status) {
       case Status::kOk:
         ++t.report.completed;
         t.latencies.push_back(reply.latency_ns);
+        counter = "serve.tenant.completed";
         break;
       case Status::kRejected:
         ++t.report.rejected;
+        counter = "serve.tenant.rejected";
         break;
       case Status::kTimedOut:
         ++t.report.shed;
+        counter = "serve.tenant.shed";
         break;
       case Status::kError:
         ++t.report.errors;
+        counter = "serve.tenant.errors";
         break;
       case Status::kShutdown:
         ++t.report.shutdown;
+        counter = "serve.tenant.shutdown";
         break;
     }
+    obs::counter_add_indexed(counter, tenant, 1);
   }
 
   void record_resize(bool added, std::size_t shard) {
@@ -463,7 +406,6 @@ class MultiShardServer {
   /// each other, without blocking the submit path.
   std::mutex resize_mu_;
   ShardRouter router_;
-  std::vector<std::size_t> quotas_;              // per tenant
   std::vector<std::unique_ptr<Shard>> shards_;   // id-indexed, never erased
   std::vector<std::unique_ptr<TenantState>> tenants_;
   std::atomic<bool> stopping_{false};

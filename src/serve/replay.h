@@ -3,16 +3,17 @@
 // Live batch boundaries depend on thread scheduling, so they cannot anchor a
 // bitwise test. replay_trace() removes the scheduler from the picture: it is
 // a single-threaded discrete-event simulation of the serving pipeline over a
-// scripted arrival trace in VIRTUAL time. Admission (bounded queue, tenant
-// quota, block/reject), batching (the same flush_due policy the live
-// collator runs), deadline shedding (the same deadline_expired predicate),
-// and typed faults are all replayed as pure functions of the trace and
-// config — so the same seeded trace always produces the same batch
-// boundaries, the same typed outcome per request, and (because the batched
-// GEMM paths compute each output row as an independent k-order dot product)
-// outputs that are bitwise-identical to running the offline predict_batch
-// reference over the whole trace at once. tests/test_serve.cpp pins all
-// three with testkit differential checks across ENW_THREADS {1, 8}.
+// scripted arrival trace in VIRTUAL time. It drives the same ServeCore
+// (serve_core.h) the live Server runs under its lock — admission (bounded
+// queue, tenant quota, block/reject, the blocked FIFO), batching (flush_due),
+// deadline shedding and backend versions are one implementation — and adds
+// only a virtual clock, one virtual executor and typed faults. So the same
+// seeded trace always produces the same batch boundaries, the same typed
+// outcome per request, and (because the batched GEMM paths compute each
+// output row as an independent k-order dot product) outputs that are
+// bitwise-identical to running the offline predict_batch reference over the
+// whole trace at once. tests/test_serve.cpp pins all three with testkit
+// differential checks across ENW_THREADS {1, 8}.
 //
 // Virtual-time semantics (all deterministic, documented here because tests
 // diff the boundary log byte-for-byte):
@@ -20,10 +21,9 @@
 //  * One executor: a flush occupies it for cfg.service_ns of virtual time;
 //    triggers that fire while it is busy flush when it frees. A batch
 //    completes at flush + service_ns.
-//  * Tenant quota, held to completion as MultiShardServer's gate holds it:
-//    a request holds one of its tenant's slots from admission until its
-//    terminal status. A shed request frees it at its flush; an executed or
-//    failed one at flush + service_ns. An empty tenant table is the plain
+//  * A request holds one of its tenant's slots from admission until its
+//    terminal status: a shed request frees it at its flush, an executed or
+//    failed one at its completion. An empty tenant table is the plain
 //    Server: the queue bound alone, no quota.
 //  * A blocked arrival (kBlock, no queue space or tenant at quota) waits
 //    FIFO and is re-examined at every flush and every completion; its
@@ -41,9 +41,11 @@
 //    window or deadline behaviour. Shutdown belongs to the live Server and is
 //    tested there; replay_sharded drains only a shard a scripted kRemove
 //    retires.
-//  * One difference from the live gate remains: a live kBlock request that
-//    passed its tenant gate holds its slot while it waits for shared-queue
-//    space, and a replayed one does not (it holds a slot only once queued).
+//  * One difference from the live server remains. A live shard retired by
+//    remove_shard cancels its blocked arrivals (kShutdown), and
+//    MultiShardServer resubmits them to their new owner; a replayed shard
+//    retired by a scripted kRemove keeps its blocked arrivals, which are
+//    admitted and served on the draining shard.
 #pragma once
 
 #include <cstddef>
@@ -87,12 +89,11 @@ struct ReplayConfig {
   /// Virtual executor occupancy per flushed batch. Models the serving-side
   /// head-of-line blocking that lets queues build while a batch runs.
   std::uint64_t service_ns = 0;
-  /// Tenant SLO table, indexed by TraceEvent::tenant. Empty means the plain
-  /// Server: one tenant with serve.admission, no deadline, and no quota. A
-  /// non-empty table applies each tenant's admission mode, its queue-share
-  /// quota held to completion (the tenant_quota arithmetic of the live
-  /// MultiShardServer gate) and, for events with deadline_ns == 0, its
-  /// relative deadline.
+  /// Tenant SLO table, indexed by TraceEvent::tenant, as the live Server
+  /// takes it: empty means one tenant with serve.admission, no deadline,
+  /// and no quota. A non-empty table applies each tenant's admission mode,
+  /// its queue-share quota held to completion and, for events with
+  /// deadline_ns == 0, its relative deadline counted from arrival.
   std::vector<TenantPolicy> tenants;
   /// Scripted hot-swaps, non-decreasing in at_ns. Version 0 is the initial
   /// backend. Swaps activate lazily at flush instants (see SwapEvent); a

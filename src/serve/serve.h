@@ -24,8 +24,9 @@
 // reproducibility promise about boundaries — only about values (each GEMM
 // output row is an independent k-order dot product, so a request's result
 // is bitwise-identical whatever batch it lands in). Reproducible boundaries
-// come from the replay harness (replay.h), which drives the SAME flush_due
-// policy below with a virtual clock over a scripted arrival trace.
+// come from the replay harness (replay.h), which drives the SAME serving
+// state machine (serve_core.h, around the flush_due policy below) with a
+// virtual clock over a scripted arrival trace.
 #pragma once
 
 #include <cstddef>
@@ -91,10 +92,10 @@ inline bool deadline_expired(std::uint64_t deadline_ns, std::uint64_t now_ns) {
   return deadline_ns != 0 && now_ns > deadline_ns;
 }
 
-/// Monotonic serving counters plus the batch-size histogram. The live Server
-/// snapshots these under its lock; the replay harness fills one per run.
+/// Monotonic serving counters plus the batch-size histogram, kept by
+/// ServeCore (serve_core.h) for the live Server and for replay alike.
 struct ServerStats {
-  std::uint64_t submitted = 0;   // submit() calls that passed the shutdown gate
+  std::uint64_t submitted = 0;   // arrivals (live: submit() before shutdown)
   std::uint64_t completed = 0;   // requests that executed (Status::kOk)
   std::uint64_t rejected = 0;    // Status::kRejected
   std::uint64_t shed = 0;        // Status::kTimedOut

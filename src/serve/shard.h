@@ -81,8 +81,9 @@ class ShardRouter {
 /// One tenant's SLO: deadline, backpressure mode, and queue share.
 struct TenantPolicy {
   std::string name = "default";
-  /// Relative deadline applied to each request (0 = none). The submit path
-  /// turns it into the absolute deadline the shed predicate checks.
+  /// Relative deadline applied to each request without its own (0 = none).
+  /// ServeCore counts it from arrival into the absolute deadline the shed
+  /// predicate checks.
   std::uint64_t deadline_ns = 0;
   /// What happens when this tenant is over its queue share (or the shard
   /// queue is full): fail fast with kRejected, or wait for space.
@@ -95,8 +96,8 @@ struct TenantPolicy {
 
 /// The tenant table a deployment runs: `tenants` itself, or, when it is
 /// empty, one default tenant (no deadline, full queue share) with the given
-/// admission mode. MultiShardServer and replay_sharded resolve their tables
-/// here.
+/// admission mode. ServeCore, MultiShardServer and replay_sharded resolve
+/// their tables here.
 std::vector<TenantPolicy> resolve_tenants(std::vector<TenantPolicy> tenants,
                                           AdmissionPolicy admission);
 

@@ -257,6 +257,27 @@ TEST(AnalogMatrix, ProgramPastSoftBoundEndsJustBelowIt) {
   EXPECT_GE(m.state(0, 0), 1.0f - 1e-3f);
 }
 
+TEST(AnalogMatrix, ProgramRejectsAPulseCountPastIntMaxBeforeFiring) {
+  // From 0 toward 0.5 in steps of 1e-10 is 5e9 pulses, past INT_MAX: the
+  // pass must reject the goal and leave the cell where it was.
+  AnalogMatrixConfig cfg = ideal_array_config();
+  cfg.device = ideal_device(1e-10);
+  AnalogMatrix m(1, 1, cfg);
+  m.set_state(0, 0, 0.0f);
+  EXPECT_THROW(m.program(Matrix::constant(1, 1, 0.5f)), std::invalid_argument);
+  EXPECT_EQ(m.state(0, 0), 0.0f);
+}
+
+TEST(AnalogMatrix, ProgramWithATinyStepEndsWithinOneStep) {
+  // 5e5 pulses of 1e-6 per pass are in range and converge on the goal.
+  AnalogMatrixConfig cfg = ideal_array_config();
+  cfg.device = ideal_device(1e-6);
+  AnalogMatrix m(1, 1, cfg);
+  m.set_state(0, 0, 0.0f);
+  m.program(Matrix::constant(1, 1, 0.5f));
+  EXPECT_NEAR(m.state(0, 0), 0.5f, 1e-6f);
+}
+
 TEST(ZeroShift, CalibrationLandsOnSymmetryPoints) {
   AnalogMatrixConfig cfg;
   cfg.device = rram_device();

@@ -606,8 +606,8 @@ TEST(Server, BlockedSubmitterWakesOnShutdownWithTypedStatus) {
   std::thread t2([&] { EXPECT_EQ(srv.submit(2).status, Status::kOk); });
   poll_until([&] { return srv.queue_depth() == 1; });
   // Third submitter blocks on the full queue. submitted is incremented in
-  // the same critical section as the space wait, so once stats show 3 the
-  // thread is parked on the space condition.
+  // the same critical section that appends it to the blocked FIFO, so once
+  // stats show 3 the request is blocked.
   Server<int, int>::Reply r3;
   std::thread t3([&] { r3 = srv.submit(3); });
   poll_until([&] { return srv.stats().submitted == 3; });
@@ -621,6 +621,52 @@ TEST(Server, BlockedSubmitterWakesOnShutdownWithTypedStatus) {
   t1.join();
   t2.join();
   EXPECT_EQ(srv.stats().completed, 2u);
+}
+
+TEST(Server, BlockedSubmittersAdmitInArrivalOrder) {
+  // Live twin of Replay.BackpressureBlockingAdmitsEveryoneInFifoWaves:
+  // request 1 executes, request 2 fills the one-slot queue, requests 3 and 4
+  // block. The collator admits blocked submitters itself, in FIFO order, so
+  // after the release the backend sees 1, 2, 3, 4.
+  ServeConfig cfg;
+  cfg.max_batch = 1;
+  cfg.max_wait_ns = 0;
+  cfg.queue_capacity = 1;
+  cfg.admission = AdmissionPolicy::kBlock;
+  GatedEcho gate;
+  std::mutex order_mu;
+  std::vector<int> order;
+  Server<int, int> srv(cfg, [&, gated = gate.fn()](std::span<const int> batch) {
+    {
+      std::lock_guard<std::mutex> lk(order_mu);
+      order.insert(order.end(), batch.begin(), batch.end());
+    }
+    return gated(batch);
+  });
+
+  std::vector<Server<int, int>::Reply> replies(4);
+  std::vector<std::thread> clients;
+  const auto submit = [&](int x) {
+    clients.emplace_back([&, x] { replies[x - 1] = srv.submit(x); });
+  };
+  submit(1);
+  gate.wait_entered();
+  submit(2);
+  poll_until([&] { return srv.queue_depth() == 1; });
+  submit(3);
+  poll_until([&] { return srv.stats().submitted == 3; });
+  submit(4);
+  poll_until([&] { return srv.stats().submitted == 4; });
+
+  gate.release();
+  for (std::thread& t : clients) t.join();
+  srv.shutdown();
+  for (int x = 1; x <= 4; ++x) {
+    EXPECT_EQ(replies[x - 1].status, Status::kOk) << "request " << x;
+    EXPECT_EQ(replies[x - 1].value, x);
+  }
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(srv.stats().batches, 4u);
 }
 
 // --- scripted hot-swap (replay) ---------------------------------------------

@@ -3,16 +3,17 @@
 // Live tests pin the value contract — requests served through N shard
 // replicas built from one seed diff bitwise against the offline
 // predict_batch reference, whatever the routing or tenant mix — and the
-// tenant quota gate's typed semantics (over-budget kReject fails fast
-// without touching neighbours; kBlock waiters wake on shutdown with the
-// typed status). These run under the TSan CI job with an 8-thread pool.
+// tenant quota's typed semantics (over-budget kReject fails fast without
+// touching neighbours; kBlock waiters wake on shutdown with the typed
+// status), plus the per-tenant obs counters. These run under the TSan CI
+// job with an 8-thread pool.
 //
 // Replay tests pin the SLO isolation properties in virtual time, where they
 // are exact: a saturating tenant collects every reject itself, a deadline
-// shed lands on the tenant that owns the deadline, the live gate tests'
-// replay twins hold a tenant's slot to completion as the gate does, and the
-// sharded replay with one shard reduces byte-for-byte to the plain replay
-// harness.
+// shed lands on the tenant that owns the deadline, the live quota tests'
+// replay twins hold a tenant's slot to completion as the live server does,
+// and the sharded replay with one shard reduces byte-for-byte to the plain
+// replay harness.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -21,11 +22,13 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/rng.h"
 #include "data/click_log.h"
+#include "obs/obs.h"
 #include "recsys/dlrm.h"
 #include "serve/backends.h"
 #include "serve/multi_shard.h"
@@ -133,7 +136,7 @@ TEST(MultiShardServer, ConcurrentTenantsGetBitwiseOfflineResultsAcrossShards) {
 
 /// Backend whose first invocation blocks until released (local copy of the
 /// test_serve idiom) — parks a shard's collator mid-execute so the tests can
-/// sequence tenant-gate admissions exactly.
+/// sequence tenant admissions exactly.
 struct GatedEcho {
   std::mutex mu;
   std::condition_variable cv;
@@ -187,12 +190,12 @@ TEST(MultiShardServer, OverBudgetTenantRejectsWithoutTouchingNeighbor) {
   gate.wait_entered();  // greedy's request is mid-execute: outstanding == 1
 
   // Greedy is at quota: its next submission fails fast with the typed
-  // status, BEFORE touching the shard queue.
+  // status, without taking a queue slot.
   EXPECT_EQ(ms.submit(2, 0, 0).status, Status::kRejected);
 
   // The neighbour's budget is untouched: its request admits and completes.
   std::thread second([&] { EXPECT_EQ(ms.submit(3, 0, 1).status, Status::kOk); });
-  while (ms.shard_stats(0).submitted < 2) std::this_thread::yield();
+  while (ms.shard_stats(0).submitted < 3) std::this_thread::yield();
 
   gate.release();
   first.join();
@@ -206,6 +209,11 @@ TEST(MultiShardServer, OverBudgetTenantRejectsWithoutTouchingNeighbor) {
   const auto neighbor_rep = ms.tenant_report(1);
   EXPECT_EQ(neighbor_rep.completed, 1u);
   EXPECT_EQ(neighbor_rep.rejected, 0u);
+  // The shard counts the quota reject like any other, as the replay twin
+  // (ReplayTenants.OverBudgetTenantRejectsWithoutTouchingNeighbor) does.
+  EXPECT_EQ(ms.stats().submitted, 3u);
+  EXPECT_EQ(ms.stats().rejected, 1u);
+  EXPECT_EQ(ms.stats().completed, 2u);
 }
 
 TEST(MultiShardServer, BlockedTenantGateWakesOnShutdownWithTypedStatus) {
@@ -227,9 +235,9 @@ TEST(MultiShardServer, BlockedTenantGateWakesOnShutdownWithTypedStatus) {
 
   // shutdown() blocks in the down thread (the gated batch is still
   // executing) but sets the stopping flag first, so the main thread's
-  // submission — parked at the tenant gate or arriving after the flag —
-  // resolves to the typed status. The gate CANNOT open any other way:
-  // outstanding stays at quota until release() below.
+  // submission — blocked on its quota or arriving after the flag —
+  // resolves to the typed status. The quota CANNOT free any other way: the
+  // executing request holds the tenant's one slot until release() below.
   std::thread down([&] { ms.shutdown(); });
   const auto blocked = ms.submit(2, 0, 0);
   EXPECT_EQ(blocked.status, Status::kShutdown);
@@ -239,6 +247,54 @@ TEST(MultiShardServer, BlockedTenantGateWakesOnShutdownWithTypedStatus) {
   first.join();
   EXPECT_EQ(ms.tenant_report(0).completed, 1u);
   EXPECT_EQ(ms.tenant_report(0).shutdown, 1u);
+}
+
+TEST(MultiShardServer, CountsEveryTenantOutcomeInObs) {
+  // Tenant 2 (kReject, quota 1, holding nothing) is turned away by the full
+  // shared queue, not by its quota; a submission after shutdown resolves
+  // kShutdown. Both reach the "serve.tenant.<field>.<t>" counters, as do the
+  // completions.
+  MultiShardConfig cfg;
+  cfg.num_shards = 1;
+  cfg.shard.max_batch = 1;
+  cfg.shard.max_wait_ns = 0;
+  cfg.shard.queue_capacity = 1;
+  TenantPolicy patient;
+  patient.admission = AdmissionPolicy::kBlock;
+  TenantPolicy impatient;
+  impatient.admission = AdmissionPolicy::kReject;
+  cfg.tenants = {patient, patient, impatient};
+
+  obs::set_enabled(true);
+  obs::reset();
+  {
+    GatedEcho gate;
+    MultiShardServer<int, int> ms(cfg, [&](std::size_t) { return gate.fn(); });
+    std::thread first([&] { EXPECT_EQ(ms.submit(1, 0, 0).status, Status::kOk); });
+    gate.wait_entered();
+    std::thread second([&] { EXPECT_EQ(ms.submit(2, 0, 1).status, Status::kOk); });
+    while (ms.shard_stats(0).submitted < 2) std::this_thread::yield();
+    EXPECT_EQ(ms.submit(3, 0, 2).status, Status::kRejected);
+    gate.release();
+    first.join();
+    second.join();
+    ms.shutdown();
+    EXPECT_EQ(ms.submit(4, 0, 2).status, Status::kShutdown);
+    EXPECT_EQ(ms.tenant_report(2).rejected, 1u);
+    EXPECT_EQ(ms.tenant_report(2).shutdown, 1u);
+  }
+  const obs::TraceReport report = obs::snapshot();
+  obs::set_enabled(false);
+  obs::reset();
+  const auto count = [&](const std::string& name) -> std::uint64_t {
+    const auto it = report.counters.find(name);
+    return it == report.counters.end() ? 0 : it->second;
+  };
+  EXPECT_EQ(count("serve.tenant.completed.0"), 1u);
+  EXPECT_EQ(count("serve.tenant.completed.1"), 1u);
+  EXPECT_EQ(count("serve.tenant.rejected.2"), 1u);
+  EXPECT_EQ(count("serve.tenant.shutdown.2"), 1u);
+  EXPECT_EQ(count("serve.rejected"), 1u) << "the shard counts it too";
 }
 
 TEST(MultiShardServer, UnknownTenantThrowsAndLateSubmitGetsShutdownStatus) {
@@ -309,7 +365,7 @@ TEST(ReplayTenants, SaturatingTenantCollectsEveryRejectItself) {
 }
 
 TEST(ReplayTenants, BlockedSaturatingTenantDrainsWithoutStarvingNeighbor) {
-  // Same burst under kBlock: tenant 0's overflow parks at the gate and
+  // Same burst under kBlock: tenant 0's overflow blocks and
   // drains in quota-sized waves; tenant 1 still completes everything (the
   // freed-slot FIFO skips over-quota waiters instead of letting them absorb
   // the neighbour's slots).
@@ -342,7 +398,7 @@ TEST(ReplayTenants, BlockedSaturatingTenantDrainsWithoutStarvingNeighbor) {
   EXPECT_EQ(r.stats.completed, 72u);
 }
 
-// The replay twins of the live tenant-gate tests: a request holds its
+// The replay twins of the live tenant-quota tests: a request holds its
 // tenant's slot until its terminal status, not until it is collated.
 
 TEST(ReplayTenants, OverBudgetTenantRejectsWithoutTouchingNeighbor) {
