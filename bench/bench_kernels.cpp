@@ -218,9 +218,10 @@ BENCHMARK(BM_Rank1UpdateBlocked)
 
 // --- per-backend rows (dynamic: the registry is only known at runtime) ------
 
-// The acceptance ratios of PR 6 read directly off these rows:
+// Ratios that read directly off these rows:
 //   BM_MatmulBackend/simd/512      vs BM_MatmulBackend/blocked/512
 //   BM_QatInferBatch/int8_simd/64  vs BM_QatInferBatch/fp32_blocked/64
+//   BM_DenseForward/simd/kn/<shape> vs BM_DenseForward/simd/nt/<shape>
 
 void register_backend_benchmarks(const std::string& only) {
   for (const enw::core::KernelBackend* bk : enw::core::available_backends()) {
@@ -240,6 +241,46 @@ void register_backend_benchmarks(const std::string& only) {
                 static_cast<std::int64_t>(state.iterations()) * 2 * n * n * n);
           })
           ->Unit(benchmark::kMillisecond);
+    }
+
+    // Dense-layer forward at the shapes the MLP and DLRM serve (m = batch,
+    // k = in, n = out), on one kernel thread as perfbench serves them: `nt`
+    // is the row-major pairing matmul_nt(X, W), `kn` the input-major
+    // matmul(X, W^T) that DigitalLinear runs. Same products; only the kernel
+    // (lane-partitioned dot vs k-ordered gemm_kn) differs.
+    struct DenseShape {
+      std::size_t m, k, n;
+    };
+    for (const DenseShape d : {DenseShape{64, 784, 256}, DenseShape{4, 784, 256},
+                               DenseShape{64, 256, 10}, DenseShape{4, 332, 32}}) {
+      const std::string shape = "m" + std::to_string(d.m) + "_k" +
+                                std::to_string(d.k) + "_n" + std::to_string(d.n);
+      const auto flops = static_cast<std::int64_t>(2 * d.m * d.k * d.n);
+      benchmark::RegisterBenchmark(
+          ("BM_DenseForward/" + name + "/nt/" + shape).c_str(),
+          [bk, d, flops](benchmark::State& state) {
+            const Matrix x = random_matrix(d.m, d.k, 1);
+            const Matrix w = random_matrix(d.n, d.k, 2);
+            const std::size_t threads = enw::parallel::thread_count();
+            enw::parallel::set_thread_count(1);
+            for (auto _ : state) benchmark::DoNotOptimize(bk->matmul_nt(x, w));
+            enw::parallel::set_thread_count(threads);
+            state.SetItemsProcessed(state.iterations() * flops);
+          })
+          ->Unit(benchmark::kMicrosecond);
+      benchmark::RegisterBenchmark(
+          ("BM_DenseForward/" + name + "/kn/" + shape).c_str(),
+          [bk, d, flops](benchmark::State& state) {
+            const Matrix x = random_matrix(d.m, d.k, 1);
+            const Matrix wt = enw::transpose(random_matrix(d.n, d.k, 2));
+            const std::size_t threads = enw::parallel::thread_count();
+            enw::parallel::set_thread_count(1);
+            for (auto _ : state)
+              benchmark::DoNotOptimize(bk->matmul(x, wt, enw::ZeroSkip::kNone));
+            enw::parallel::set_thread_count(threads);
+            state.SetItemsProcessed(state.iterations() * flops);
+          })
+          ->Unit(benchmark::kMicrosecond);
     }
 
     // int8 twin of the 512-cubed fp32 rows above: same MAC count, int8

@@ -294,13 +294,21 @@ void Artifact::parse(const std::string& path) {
   const auto tensor_count = read_le<std::uint32_t>(base_ + 56);
   const auto meta_count = read_le<std::uint32_t>(base_ + 60);
 
-  if (blob_offset + blob_bytes > size_) {
+  // Every sum and product of header or index fields is checked for u64
+  // wrap before it bounds anything: a wrapped sum would pass the bounds
+  // check it feeds.
+  std::uint64_t blob_end = 0;
+  std::uint64_t index_end = 0;
+  if (__builtin_add_overflow(blob_offset, blob_bytes, &blob_end) ||
+      __builtin_add_overflow(index_offset, index_bytes, &index_end)) {
+    fail(ArtifactErrorCode::kBadIndex, path + ": region bounds overflow");
+  }
+  if (blob_end > size_) {
     fail(ArtifactErrorCode::kTruncated,
-         path + ": header claims " + std::to_string(blob_offset + blob_bytes) +
+         path + ": header claims " + std::to_string(blob_end) +
              " bytes, file has " + std::to_string(size_));
   }
-  if (index_offset != kHeaderBytes || index_offset + index_bytes > size_ ||
-      blob_offset < index_offset + index_bytes) {
+  if (index_offset != kHeaderBytes || index_end > size_ || blob_offset < index_end) {
     fail(ArtifactErrorCode::kBadIndex, path + ": inconsistent region layout");
   }
   if (blob_offset % kBlobAlign != 0) {
@@ -332,12 +340,17 @@ void Artifact::parse(const std::string& path) {
     if (rec.offset % kBlobAlign != 0) {
       fail(ArtifactErrorCode::kMisaligned, name + ": blob offset not 64-byte aligned");
     }
-    if (rec.offset < blob_offset || rec.offset + rec.nbytes > blob_offset + blob_bytes) {
+    std::uint64_t rec_end = 0;
+    if (__builtin_add_overflow(rec.offset, rec.nbytes, &rec_end) ||
+        rec.offset < blob_offset || rec_end > blob_end) {
       fail(ArtifactErrorCode::kBadIndex, name + ": blob outside blob region");
     }
-    const std::uint64_t expect = rec.dtype == DType::kF32
-                                     ? rec.rows * rec.cols * sizeof(float)
-                                     : rec.rows * rec.cols;
+    const std::uint64_t elem = rec.dtype == DType::kF32 ? sizeof(float) : 1;
+    std::uint64_t expect = 0;
+    if (__builtin_mul_overflow(rec.rows, rec.cols, &expect) ||
+        __builtin_mul_overflow(expect, elem, &expect)) {
+      fail(ArtifactErrorCode::kBadIndex, name + ": shape overflows u64");
+    }
     if (rec.nbytes != expect) {
       fail(ArtifactErrorCode::kBadIndex, name + ": shape/size mismatch");
     }

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "nn/digital_linear.h"
+#include "tensor/ops.h"
 
 namespace enw::artifact {
 
@@ -72,12 +73,13 @@ std::vector<std::size_t> parse_dims(const std::string& s) {
   return dims;
 }
 
+// Dense weights travel input-major, as `<prefix>.wt` (rows = in, cols =
+// out): the layout DigitalLinear serves from, so a kView load borrows them
+// from the mapping as they are.
 void save_dense_layer(ArtifactWriter& w, const std::string& prefix,
                       const nn::DenseLayer& layer) {
-  // const: weights() may hand back a borrowed view (model was itself
-  // zero-copy loaded), whose non-const data() intentionally throws.
-  const Matrix wm = layer.ops().weights();
-  w.add_f32(prefix + ".w", wm.data(), wm.rows(), wm.cols());
+  const Matrix wt = transpose(layer.ops().weights());
+  w.add_f32(prefix + ".wt", wt.data(), wt.rows(), wt.cols());
   w.add_f32(prefix + ".b", layer.bias().data(), layer.bias().size(), 1);
   w.add_meta_u64(prefix + ".act", static_cast<std::uint64_t>(layer.activation()));
 }
@@ -86,7 +88,7 @@ nn::DenseLayer load_dense_layer(const Artifact& a, const std::string& prefix,
                                 Materialize mat) {
   const Activation act = act_from_u64(a.meta_u64(prefix + ".act"));
   nn::DenseLayer layer(
-      std::make_unique<nn::DigitalLinear>(load_matrix(a.tensor(prefix + ".w"), mat)),
+      nn::DigitalLinear::from_transposed(load_matrix(a.tensor(prefix + ".wt"), mat)),
       act);
   layer.set_bias(load_vector(a.tensor(prefix + ".b")));
   return layer;

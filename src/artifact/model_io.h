@@ -23,6 +23,10 @@
 //   - Mlp/Dlrm/WideAndDeep dense layers are rebuilt on DigitalLinear. An
 //     analog-backed Mlp saves its fp32 weights fine, but the load is always
 //     digital — backend choice is runtime configuration, not model state.
+//     Their weights are stored input-major as `<prefix>.wt` (in x out), the
+//     layout DigitalLinear serves from, so kView borrows them as they lie;
+//     a file with only the row-major `.w` of the earlier layout fails with
+//     kMissingTensor. QatMlp keeps row-major `qat.layer*.w`.
 //   - The Wide part of WideAndDeep (scalar-per-value + dense linear + bias)
 //     is always copied: it is tiny, and keeping it owned means kView only
 //     pins what is actually large (embedding tables, MLP weights).

@@ -54,15 +54,17 @@ std::size_t Mlp::predict(std::span<const float> x) const {
   return argmax(h);
 }
 
+// The first layer reads the caller's batch in place; both constructors
+// guarantee at least one layer.
 Matrix Mlp::forward_batch(const Matrix& x) {
-  Matrix h = x;
-  for (auto& layer : layers_) h = layer.forward_batch(h);
+  Matrix h = layers_.front().forward_batch(x);
+  for (std::size_t i = 1; i < layers_.size(); ++i) h = layers_[i].forward_batch(h);
   return h;
 }
 
 Matrix Mlp::infer_batch(const Matrix& x) const {
-  Matrix h = x;
-  for (const auto& layer : layers_) h = layer.infer_batch(h);
+  Matrix h = layers_.front().infer_batch(x);
+  for (std::size_t i = 1; i < layers_.size(); ++i) h = layers_[i].infer_batch(h);
   return h;
 }
 

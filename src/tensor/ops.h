@@ -29,15 +29,17 @@ Vector matvec(const Matrix& a, std::span<const float> x);
 Vector matvec_transposed(const Matrix& a, std::span<const float> x,
                          ZeroSkip skip = ZeroSkip::kNone);
 
-/// C = A B. With kSkipZeroInputs, terms whose A(i,k) is exactly zero are
-/// skipped — the batched counterpart of matvec_transposed's delta-sparsity
-/// skip. Within one backend, row s of the result is bitwise-identical to
-/// matvec_transposed(A.row(s) as x) under the same skip mode.
+/// C = A B. The minibatch forward GEMM over input-major weights (B = W^T,
+/// as nn::DigitalLinear stores them): row s of C holds
+/// matvec_transposed(B, A.row(s)) bitwise (per backend) under the same skip
+/// mode, for every thread count. With kSkipZeroInputs, terms whose A(i,k)
+/// is exactly zero are skipped.
 Matrix matmul(const Matrix& a, const Matrix& b, ZeroSkip skip = ZeroSkip::kNone);
 
 /// C = A B^T. A is (m x k), B is (n x k), C gets (m x n). The minibatch
-/// forward GEMM: row i of C holds matvec(B, A.row(i)) bitwise (per backend),
-/// for every thread count — the paired-kernel contract batched code relies on.
+/// backward GEMM over input-major weights (dX = dY (W^T)^T): row i of C holds
+/// matvec(B, A.row(i)) bitwise (per backend), for every thread count — the
+/// paired-kernel contract batched code relies on.
 Matrix matmul_nt(const Matrix& a, const Matrix& b);
 
 /// C += scale * A^T B. A is (batch x m), B is (batch x n), C is (m x n) —

@@ -11,10 +11,16 @@
 //    pairwise horizontal halving, scalar fmaf tail. Depends only on n, and is
 //    symmetric in a/b, so matvec and matmul_nt built on it are bitwise
 //    consistent with each other (the paired-kernel contract).
-//  - gemm_kn: every output element is one strictly-k-ordered FMA chain; the
-//    i/j register tiling only regroups independent chains, and the scalar
-//    column tail uses fmaf, which is bit-identical to a vector FMA lane. So
-//    results never depend on tile boundaries, row chunking, or thread count.
+//  - gemm_kn: every output element is one strictly-k-ordered FMA chain, one
+//    vector lane per column; the i/j register tiling only regroups
+//    independent chains. Columns past the last full 4-vector panel run in
+//    one narrower panel whose last vector is lane-masked (__mmask16 on
+//    AVX-512, maskload/maskstore on AVX2): masked lanes are never loaded or
+//    stored, so nothing past column n is touched, and each live lane is the
+//    same chain as in a full panel — bit-identical to a scalar std::fmaf
+//    chain in k order. So results never depend on tile boundaries, column
+//    or row chunking, or thread count, and the AVX2 and AVX-512 tables
+//    agree bitwise.
 //  - qgemm_nt_s32: pure int32 arithmetic — exact, bitwise across every
 //    backend and ISA.
 //  - s8_axpy: per-element mul-then-add (deliberately NOT fma) so it matches

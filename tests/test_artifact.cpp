@@ -434,6 +434,56 @@ TEST(ArtifactNegative, MisalignedTensorOffsetRejected) {
   EXPECT_EQ(open_error(tmp.path), ArtifactErrorCode::kMisaligned);
 }
 
+TEST(ArtifactNegative, ShapeProductWrapRejected) {
+  // A record claiming (2^62 + 1) x 4 f32 over a 16-byte blob: the byte count
+  // rows * cols * 4 wraps mod 2^64 to exactly 16, so only an overflow-checked
+  // product tells this apart from a real 1 x 4 tensor.
+  TempArtifact tmp("shape_wrap");
+  ArtifactWriter w(artifact::kKindMlp);
+  const float v[4] = {1.0f, 2.0f, 3.0f, 4.0f};
+  w.add_f32("t", v, 1, 4);
+  w.write(tmp.path);
+  ASSERT_EQ(Artifact::open(tmp.path)->tensor("t").cols, 4u);
+
+  std::vector<std::uint8_t> bytes = read_file(tmp.path);
+  // Record layout as in MisalignedTensorOffsetRejected: rows @73, cols @81.
+  ASSERT_EQ(bytes[64], 1u);
+  ASSERT_EQ(bytes[68], 't');
+  const std::uint64_t rows = (std::uint64_t{1} << 62) + 1;
+  const std::uint64_t cols = 4;
+  std::memcpy(bytes.data() + 73, &rows, sizeof(rows));  // LE host assumed
+  std::memcpy(bytes.data() + 81, &cols, sizeof(cols));
+  const std::uint32_t crc = core::crc32(bytes.data() + 24, bytes.size() - 24);
+  std::memset(bytes.data() + 16, 0, 8);
+  std::memcpy(bytes.data() + 16, &crc, sizeof(crc));
+  write_file(tmp.path, bytes);
+  EXPECT_EQ(open_error(tmp.path), ArtifactErrorCode::kBadIndex);
+  EXPECT_EQ(open_error(tmp.path, LoadMode::kOwned), ArtifactErrorCode::kBadIndex);
+}
+
+TEST(ArtifactNegative, RowMajorDenseWeightsAreAMissingTensor) {
+  // Dense layers are stored input-major as `.wt`; a file holding only the
+  // row-major `.w` (the layout before W^T storage) has no reader and fails
+  // typed, never loading a transposed model.
+  TempArtifact tmp("row_major_dense");
+  ArtifactWriter w(artifact::kKindMlp);
+  const float weights[6] = {1.0f, 2.0f, 3.0f, 4.0f, 5.0f, 6.0f};
+  const float bias[2] = {0.0f, 0.0f};
+  w.add_meta_u64("layers", 1);
+  w.add_f32("layer0.w", weights, 2, 3);
+  w.add_f32("layer0.b", bias, 2, 1);
+  w.add_meta_u64("layer0.act", 0);
+  w.write(tmp.path);
+  for (Materialize mat : {Materialize::kView, Materialize::kCopy}) {
+    try {
+      (void)artifact::load_mlp(tmp.path, LoadMode::kMap, mat);
+      ADD_FAILURE() << "a .w-only MLP artifact loaded";
+    } catch (const ArtifactError& e) {
+      EXPECT_EQ(e.code(), ArtifactErrorCode::kMissingTensor) << e.what();
+    }
+  }
+}
+
 TEST(ArtifactNegative, WrongModelKindRejected) {
   Rng rng(201);
   nn::Mlp model = make_mlp(rng);

@@ -19,6 +19,7 @@
 // meaningful for a bounded-ULP comparison. Bitwise backends get the full
 // specials treatment (they must reproduce inf/NaN payloads exactly).
 
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
@@ -32,6 +33,7 @@
 #include "recsys/embedding_table.h"
 #include "tensor/ops.h"
 #include "tensor/qgemm.h"
+#include "tensor/simd_tables.h"
 #include "testkit/diff.h"
 #include "testkit/generators.h"
 
@@ -567,6 +569,70 @@ TEST(QatInt8, LogitsAreBitwiseInvariantAcrossBackends) {
                    std::string(backend->name()) + " int8 engine logits");
   }
 }
+
+// ---------------------------------------------------------------------------
+// gemm_kn on each ISA table: every output element, column tail included, is
+// the scalar k-ordered std::fmaf chain. B is an exact-size heap block whose
+// last row ends at the end of the allocation, and C is too, so a tail load or
+// store that runs past column n is an out-of-bounds access under ASan.
+// ---------------------------------------------------------------------------
+
+#if defined(ENW_SIMD_AVX2) || defined(ENW_SIMD_AVX512)
+
+void expect_gemm_kn_is_scalar_chain(const detail::SimdKernelTable& t) {
+  constexpr std::size_t kK = 37;
+  Rng rng(131);
+  for (std::size_t n : {1, 7, 8, 9, 10, 15, 16, 17, 31, 32, 33, 63, 64, 65, 79, 784}) {
+    for (std::size_t m : {1, 3, 4, 5}) {
+      std::vector<float> a(m * kK), b(kK * n), c0(m * n);
+      for (float& v : a) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+      for (std::size_t i = 0; i < a.size(); i += 3) a[i] = 0.0f;  // skip targets
+      for (float& v : b) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+      for (float& v : c0) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+      for (bool accumulate : {false, true}) {
+        for (bool skip : {false, true}) {
+          std::vector<float> want = c0;
+          for (std::size_t i = 0; i < m; ++i) {
+            for (std::size_t j = 0; j < n; ++j) {
+              float acc = accumulate ? c0[i * n + j] : 0.0f;
+              for (std::size_t kx = 0; kx < kK; ++kx) {
+                const float av = a[i * kK + kx];
+                if (skip && av == 0.0f) continue;
+                acc = std::fmaf(av, b[kx * n + j], acc);
+              }
+              want[i * n + j] = acc;
+            }
+          }
+          std::vector<float> got = c0;
+          t.gemm_kn(a.data(), kK, b.data(), n, got.data(), n, m, kK, n, accumulate,
+                    skip);
+          const testkit::Divergence d = testkit::first_divergence(got, want);
+          EXPECT_TRUE(d.ok()) << t.isa << " m=" << m << " n=" << n
+                              << " accumulate=" << accumulate << " skip=" << skip
+                              << ": " << d.report();
+        }
+      }
+    }
+  }
+}
+
+#endif
+
+#ifdef ENW_SIMD_AVX2
+TEST(SimdGemmKn, Avx2ColumnTailIsTheScalarKOrderedChain) {
+  const core::CpuFeatures& f = core::cpu_features();
+  if (!(f.avx2 && f.fma)) GTEST_SKIP() << "host lacks avx2+fma";
+  expect_gemm_kn_is_scalar_chain(detail::simd_avx2_table());
+}
+#endif
+
+#ifdef ENW_SIMD_AVX512
+TEST(SimdGemmKn, Avx512ColumnTailIsTheScalarKOrderedChain) {
+  const core::CpuFeatures& f = core::cpu_features();
+  if (!(f.avx512f && f.avx512bw && f.fma)) GTEST_SKIP() << "host lacks avx512f+bw";
+  expect_gemm_kn_is_scalar_chain(detail::simd_avx512_table());
+}
+#endif
 
 }  // namespace
 }  // namespace enw

@@ -166,65 +166,86 @@ TEST(MlpBatch, InferBatchBitwiseEqualsPerSampleInference) {
 
 // train_batch must apply exactly the hand-accumulated minibatch update: every
 // sample's gradient taken against the frozen pre-step weights, scaled by 1/B,
-// folded in sample order with the ReLU zero-skip — bitwise.
+// folded in sample order with the zero-input skip — bitwise. The oracle runs
+// over the input-major W^T that DigitalLinear stores: forward
+// matvec_transposed(wt, x), backward matvec(wt, g), and each update a rank-1
+// x (-lr * delta)^T into W^T. The 6-5-3 net is narrower than one simd vector;
+// the 40-33-17 net is wider than 16 lanes with ragged column tails, where a
+// k-ordered FMA chain and a lane-partitioned dot round differently, so it
+// fails if the library pairs its kernels any other way.
 TEST(MlpBatch, TrainBatchBitwiseEqualsHandAccumulatedGradients) {
   ThreadCountGuard guard;
   const float lr = 0.1f;
-  for (std::size_t threads : kThreadCounts) {
-    parallel::set_thread_count(threads);
-    for (std::size_t batch : kBatchSizes) {
-      Rng rng(22);
-      Mlp net = make_digital_mlp(rng);
-      const Matrix x = random_matrix(batch, 6, rng);
-      std::vector<std::size_t> labels(batch);
-      for (std::size_t s = 0; s < batch; ++s) labels[s] = s % 3;
+  const std::vector<std::vector<std::size_t>> nets = {{6, 5, 3}, {40, 33, 17}};
+  for (const std::vector<std::size_t>& dims : nets) {
+    for (std::size_t threads : kThreadCounts) {
+      parallel::set_thread_count(threads);
+      for (std::size_t batch : kBatchSizes) {
+        Rng rng(22);
+        MlpConfig cfg;
+        cfg.dims = dims;
+        cfg.hidden_activation = Activation::kRelu;
+        Mlp net(cfg, DigitalLinear::factory(rng));
+        const std::size_t classes = dims.back();
+        const Matrix x = random_matrix(batch, dims.front(), rng);
+        std::vector<std::size_t> labels(batch);
+        for (std::size_t s = 0; s < batch; ++s) labels[s] = s % classes;
 
-      // Frozen pre-step parameters.
-      const Matrix w1 = net.layer(0).ops().weights();
-      const Matrix w2 = net.layer(1).ops().weights();
-      Vector b1 = net.layer(0).bias();
-      Vector b2 = net.layer(1).bias();
+        // Frozen pre-step parameters, input-major.
+        const Matrix wt1 = transpose(net.layer(0).ops().weights());
+        const Matrix wt2 = transpose(net.layer(1).ops().weights());
+        Vector b1 = net.layer(0).bias();
+        Vector b2 = net.layer(1).bias();
 
-      // Hand-computed per-sample activations and deltas against w1/w2.
-      const float inv_b = 1.0f / static_cast<float>(batch);
-      std::vector<Vector> hidden(batch), delta2(batch), delta1(batch);
-      double total_loss = 0.0;
-      for (std::size_t s = 0; s < batch; ++s) {
-        Vector h = matvec(w1, x.row(s));
-        for (std::size_t i = 0; i < h.size(); ++i) h[i] += b1[i];
-        nn::activate(Activation::kRelu, h);
-        hidden[s] = h;
-        Vector logits = matvec(w2, h);
-        for (std::size_t i = 0; i < logits.size(); ++i) logits[i] += b2[i];
-        Vector g(logits.size(), 0.0f);
-        total_loss += nn::softmax_cross_entropy(logits, labels[s], g);
-        for (float& v : g) v *= inv_b;
-        delta2[s] = g;  // identity output activation
-        Vector g1 = matvec_transposed(w2, g, ZeroSkip::kSkipZeroInputs);
-        nn::scale_by_activation_grad(Activation::kRelu, h, g1);
-        delta1[s] = g1;
+        // Hand-computed per-sample activations and deltas against wt1/wt2.
+        const float inv_b = 1.0f / static_cast<float>(batch);
+        std::vector<Vector> hidden(batch), delta2(batch), delta1(batch);
+        double total_loss = 0.0;
+        for (std::size_t s = 0; s < batch; ++s) {
+          Vector h = matvec_transposed(wt1, x.row(s));
+          for (std::size_t i = 0; i < h.size(); ++i) h[i] += b1[i];
+          nn::activate(Activation::kRelu, h);
+          hidden[s] = h;
+          Vector logits = matvec_transposed(wt2, h);
+          for (std::size_t i = 0; i < logits.size(); ++i) logits[i] += b2[i];
+          Vector g(logits.size(), 0.0f);
+          total_loss += nn::softmax_cross_entropy(logits, labels[s], g);
+          for (float& v : g) v *= inv_b;
+          delta2[s] = g;  // identity output activation
+          Vector g1 = matvec(wt2, g);
+          nn::scale_by_activation_grad(Activation::kRelu, h, g1);
+          delta1[s] = g1;
+        }
+
+        // Accumulated updates, folded in sample order.
+        const auto neg_lr = [lr](const Vector& d) {
+          Vector out(d.size());
+          for (std::size_t i = 0; i < d.size(); ++i) out[i] = -lr * d[i];
+          return out;
+        };
+        Matrix ewt1 = wt1, ewt2 = wt2;
+        Vector eb1 = b1, eb2 = b2;
+        for (std::size_t s = 0; s < batch; ++s) {
+          rank1_update(ewt2, hidden[s], neg_lr(delta2[s]), 1.0f,
+                       ZeroSkip::kSkipZeroInputs);
+          rank1_update(ewt1, x.row(s), neg_lr(delta1[s]), 1.0f,
+                       ZeroSkip::kSkipZeroInputs);
+        }
+        for (std::size_t s = 0; s < batch; ++s) {
+          for (std::size_t i = 0; i < eb2.size(); ++i) eb2[i] -= lr * delta2[s][i];
+          for (std::size_t i = 0; i < eb1.size(); ++i) eb1[i] -= lr * delta1[s][i];
+        }
+
+        const float loss = net.train_batch(x, labels, lr);
+        EXPECT_FLOAT_EQ(loss,
+                        static_cast<float>(total_loss / static_cast<double>(batch)));
+        EXPECT_TRUE(bitwise_equal(net.layer(0).ops().weights(), transpose(ewt1)))
+            << "dims[0]=" << dims[0] << " batch=" << batch << " threads=" << threads;
+        EXPECT_TRUE(bitwise_equal(net.layer(1).ops().weights(), transpose(ewt2)))
+            << "dims[0]=" << dims[0] << " batch=" << batch;
+        EXPECT_TRUE(bitwise_equal(net.layer(0).bias(), eb1));
+        EXPECT_TRUE(bitwise_equal(net.layer(1).bias(), eb2));
       }
-
-      // Accumulated updates, folded in sample order.
-      Matrix ew1 = w1, ew2 = w2;
-      Vector eb1 = b1, eb2 = b2;
-      for (std::size_t s = 0; s < batch; ++s) {
-        rank1_update(ew2, delta2[s], hidden[s], -lr, ZeroSkip::kSkipZeroInputs);
-        rank1_update(ew1, delta1[s], x.row(s), -lr, ZeroSkip::kSkipZeroInputs);
-      }
-      for (std::size_t s = 0; s < batch; ++s) {
-        for (std::size_t i = 0; i < eb2.size(); ++i) eb2[i] -= lr * delta2[s][i];
-        for (std::size_t i = 0; i < eb1.size(); ++i) eb1[i] -= lr * delta1[s][i];
-      }
-
-      const float loss = net.train_batch(x, labels, lr);
-      EXPECT_FLOAT_EQ(loss,
-                      static_cast<float>(total_loss / static_cast<double>(batch)));
-      EXPECT_TRUE(bitwise_equal(net.layer(0).ops().weights(), ew1))
-          << "batch=" << batch << " threads=" << threads;
-      EXPECT_TRUE(bitwise_equal(net.layer(1).ops().weights(), ew2));
-      EXPECT_TRUE(bitwise_equal(net.layer(0).bias(), eb1));
-      EXPECT_TRUE(bitwise_equal(net.layer(1).bias(), eb2));
     }
   }
 }
