@@ -1,15 +1,15 @@
 // bench_kernels — Google Benchmark microbenchmarks for the tensor kernel
-// layer: naive reference vs. cache-blocked kernels, 1-thread vs. N-thread,
-// plus per-backend rows (reference/blocked/simd and int8 qgemm) registered
-// dynamically from the runtime backend registry.
+// layer: the naive scalar references, plus per-backend rows
+// (reference/simd fp32 kernels and int8 qgemm) registered dynamically from
+// the runtime backend registry.
 //
 // Regenerate the committed machine-readable record with:
 //   ./scripts/run_bench_kernels.sh         (writes BENCH_kernels.json)
-// The *_Reference benchmarks are the before; the blocked kernels at
-// threads=1 isolate the cache-blocking win; higher thread counts add the
-// parallel_for scaling on top; the BM_*Backend rows isolate the SIMD and
-// int8 wins at fixed thread count. `--backend=NAME` restricts the dynamic
-// rows to one backend (CI uses it to keep the smoke run cheap).
+// The *_Reference benchmarks are the scalar oracles; the BM_*/<backend>/...
+// rows time each registered backend on the same products (every backend
+// computes the same bits, so the rows differ only in speed).
+// `--backend=NAME` restricts the dynamic rows to one backend (CI uses it to
+// keep the smoke run cheap).
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -30,14 +30,6 @@ namespace {
 using enw::Matrix;
 using enw::Rng;
 using enw::Vector;
-
-// The named *Blocked benchmarks must measure the blocked kernels no matter
-// what ENW_BACKEND/auto resolves to (the ambient default is simd on capable
-// CPUs since PR 6); restore the ambient selection afterwards.
-struct BlockedPin {
-  BlockedPin() { enw::core::set_backend("blocked"); }
-  ~BlockedPin() { enw::core::reset_backend_selection(); }
-};
 
 Matrix random_matrix(std::size_t r, std::size_t c, unsigned seed) {
   Rng rng(seed);
@@ -65,26 +57,6 @@ void BM_MatmulReference(benchmark::State& state) {
 }
 BENCHMARK(BM_MatmulReference)->Arg(64)->Arg(256)->Arg(512)->Unit(benchmark::kMillisecond);
 
-void BM_MatmulBlocked(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  enw::parallel::set_thread_count(static_cast<std::size_t>(state.range(1)));
-  const BlockedPin pin;
-  const Matrix a = random_matrix(n, n, 1);
-  const Matrix b = random_matrix(n, n, 2);
-  for (auto _ : state) benchmark::DoNotOptimize(enw::matmul(a, b));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 * n * n * n);
-  enw::parallel::set_thread_count(1);
-}
-BENCHMARK(BM_MatmulBlocked)
-    ->ArgNames({"n", "threads"})
-    ->Args({64, 1})
-    ->Args({256, 1})
-    ->Args({512, 1})
-    ->Args({64, 4})
-    ->Args({256, 4})
-    ->Args({512, 4})
-    ->Unit(benchmark::kMillisecond);
-
 // --- matvec -----------------------------------------------------------------
 
 void BM_MatvecReference(benchmark::State& state) {
@@ -95,26 +67,6 @@ void BM_MatvecReference(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 * n * n);
 }
 BENCHMARK(BM_MatvecReference)->Arg(128)->Arg(512)->Arg(2048)->Unit(benchmark::kMicrosecond);
-
-void BM_MatvecBlocked(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  enw::parallel::set_thread_count(static_cast<std::size_t>(state.range(1)));
-  const BlockedPin pin;
-  const Matrix a = random_matrix(n, n, 3);
-  const Vector x = random_vector(n, 4);
-  for (auto _ : state) benchmark::DoNotOptimize(enw::matvec(a, x));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 * n * n);
-  enw::parallel::set_thread_count(1);
-}
-BENCHMARK(BM_MatvecBlocked)
-    ->ArgNames({"n", "threads"})
-    ->Args({128, 1})
-    ->Args({512, 1})
-    ->Args({2048, 1})
-    ->Args({128, 4})
-    ->Args({512, 4})
-    ->Args({2048, 4})
-    ->Unit(benchmark::kMicrosecond);
 
 // --- matvec_transposed ------------------------------------------------------
 
@@ -132,26 +84,6 @@ BENCHMARK(BM_MatvecTransposedReference)
     ->Arg(2048)
     ->Unit(benchmark::kMicrosecond);
 
-void BM_MatvecTransposedBlocked(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  enw::parallel::set_thread_count(static_cast<std::size_t>(state.range(1)));
-  const BlockedPin pin;
-  const Matrix a = random_matrix(n, n, 5);
-  const Vector x = random_vector(n, 6);
-  for (auto _ : state) benchmark::DoNotOptimize(enw::matvec_transposed(a, x));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 * n * n);
-  enw::parallel::set_thread_count(1);
-}
-BENCHMARK(BM_MatvecTransposedBlocked)
-    ->ArgNames({"n", "threads"})
-    ->Args({128, 1})
-    ->Args({512, 1})
-    ->Args({2048, 1})
-    ->Args({128, 4})
-    ->Args({512, 4})
-    ->Args({2048, 4})
-    ->Unit(benchmark::kMicrosecond);
-
 // --- transpose --------------------------------------------------------------
 
 void BM_TransposeReference(benchmark::State& state) {
@@ -161,23 +93,6 @@ void BM_TransposeReference(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n * n);
 }
 BENCHMARK(BM_TransposeReference)->Arg(128)->Arg(512)->Arg(2048)->Unit(benchmark::kMicrosecond);
-
-void BM_TransposeBlocked(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  enw::parallel::set_thread_count(static_cast<std::size_t>(state.range(1)));
-  const BlockedPin pin;
-  const Matrix a = random_matrix(n, n, 7);
-  for (auto _ : state) benchmark::DoNotOptimize(enw::transpose(a));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n * n);
-  enw::parallel::set_thread_count(1);
-}
-BENCHMARK(BM_TransposeBlocked)
-    ->ArgNames({"n", "threads"})
-    ->Args({128, 1})
-    ->Args({512, 1})
-    ->Args({2048, 1})
-    ->Args({2048, 4})
-    ->Unit(benchmark::kMicrosecond);
 
 // --- rank1_update -----------------------------------------------------------
 
@@ -194,33 +109,12 @@ void BM_Rank1UpdateReference(benchmark::State& state) {
 }
 BENCHMARK(BM_Rank1UpdateReference)->Arg(128)->Arg(512)->Arg(2048)->Unit(benchmark::kMicrosecond);
 
-void BM_Rank1UpdateBlocked(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  enw::parallel::set_thread_count(static_cast<std::size_t>(state.range(1)));
-  const BlockedPin pin;
-  Matrix a = random_matrix(n, n, 8);
-  const Vector u = random_vector(n, 9);
-  const Vector v = random_vector(n, 10);
-  for (auto _ : state) {
-    enw::rank1_update(a, u, v, 1e-6f);
-    benchmark::DoNotOptimize(a.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 * n * n);
-  enw::parallel::set_thread_count(1);
-}
-BENCHMARK(BM_Rank1UpdateBlocked)
-    ->ArgNames({"n", "threads"})
-    ->Args({128, 1})
-    ->Args({512, 1})
-    ->Args({2048, 1})
-    ->Args({2048, 4})
-    ->Unit(benchmark::kMicrosecond);
-
 // --- per-backend rows (dynamic: the registry is only known at runtime) ------
 
 // Ratios that read directly off these rows:
-//   BM_MatmulBackend/simd/512      vs BM_MatmulBackend/blocked/512
-//   BM_QatInferBatch/int8_simd/64  vs BM_QatInferBatch/fp32_blocked/64
+//   BM_MatmulBackend/simd/256      vs BM_MatmulBackend/reference/256
+//   BM_Matvec/simd/<n>             vs BM_MatvecReference/<n>
+//   BM_QatInferBatch/int8_simd/64  vs BM_QatInferBatch/fp32_simd/64
 //   BM_DenseForward/simd/kn/<shape> vs BM_DenseForward/simd/nt/<shape>
 
 void register_backend_benchmarks(const std::string& only) {
@@ -243,11 +137,31 @@ void register_backend_benchmarks(const std::string& only) {
           ->Unit(benchmark::kMillisecond);
     }
 
+    // Square matvec (the m = 1 product) on one kernel thread: one k-ordered
+    // chain per output, so simd packs A's rows k-major before its FMA lanes
+    // can run across outputs.
+    for (std::size_t n : {std::size_t{128}, std::size_t{512}, std::size_t{2048}}) {
+      benchmark::RegisterBenchmark(
+          ("BM_Matvec/" + name + "/" + std::to_string(n)).c_str(),
+          [bk, n](benchmark::State& state) {
+            const Matrix a = random_matrix(n, n, 3);
+            const Vector x = random_vector(n, 4);
+            const std::size_t threads = enw::parallel::thread_count();
+            enw::parallel::set_thread_count(1);
+            for (auto _ : state) benchmark::DoNotOptimize(bk->matvec(a, x));
+            enw::parallel::set_thread_count(threads);
+            state.SetItemsProcessed(
+                static_cast<std::int64_t>(state.iterations()) * 2 * n * n);
+          })
+          ->Unit(benchmark::kMicrosecond);
+    }
+
     // Dense-layer forward at the shapes the MLP and DLRM serve (m = batch,
     // k = in, n = out), on one kernel thread as perfbench serves them: `nt`
     // is the row-major pairing matmul_nt(X, W), `kn` the input-major
-    // matmul(X, W^T) that DigitalLinear runs. Same products; only the kernel
-    // (lane-partitioned dot vs k-ordered gemm_kn) differs.
+    // matmul(X, W^T) that DigitalLinear runs. Same products and the same
+    // bits; only the kernel (packed gemm_nt vs gemm_kn straight over W^T)
+    // differs.
     struct DenseShape {
       std::size_t m, k, n;
     };

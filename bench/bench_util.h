@@ -28,8 +28,8 @@ namespace enw::bench {
 /// registry lives); only the JSON-emitting harnesses call these.
 struct MachineInfo {
   std::string cpu_features;  // "avx2=1 fma=1 avx512f=1 avx512bw=1"
-  std::string backend;       // "reference" | "blocked" | "simd"
-  std::string backend_isa;   // "scalar" | "portable" | "avx2" | "avx512"
+  std::string backend;       // "reference" | "simd"
+  std::string backend_isa;   // "scalar" | "avx2" | "avx512"
 };
 
 inline MachineInfo machine_info() {

@@ -409,7 +409,10 @@ std::uint64_t Artifact::meta_u64(const std::string& key) const {
     if (c < '0' || c > '9') {
       fail(ArtifactErrorCode::kBadIndex, "meta '" + key + "' is not a u64");
     }
-    out = out * 10 + static_cast<std::uint64_t>(c - '0');
+    if (__builtin_mul_overflow(out, std::uint64_t{10}, &out) ||
+        __builtin_add_overflow(out, static_cast<std::uint64_t>(c - '0'), &out)) {
+      fail(ArtifactErrorCode::kBadIndex, "meta '" + key + "' overflows a u64");
+    }
   }
   if (v.empty()) fail(ArtifactErrorCode::kBadIndex, "meta '" + key + "' is empty");
   return out;

@@ -63,7 +63,10 @@ std::vector<std::size_t> parse_dims(const std::string& s) {
       v = 0;
       have = false;
     } else if (c >= '0' && c <= '9') {
-      v = v * 10 + static_cast<std::size_t>(c - '0');
+      if (__builtin_mul_overflow(v, std::size_t{10}, &v) ||
+          __builtin_add_overflow(v, static_cast<std::size_t>(c - '0'), &v)) {
+        throw ArtifactError(ArtifactErrorCode::kBadIndex, "dims meta overflows");
+      }
       have = true;
     } else {
       throw ArtifactError(ArtifactErrorCode::kBadIndex, "malformed dims meta");

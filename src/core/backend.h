@@ -1,30 +1,32 @@
 // enw::core::KernelBackend — the runtime-selected compute backend behind the
 // tensor kernel layer (DESIGN.md §10).
 //
-// Three implementations are registered (src/tensor/backends.cpp):
+// Two implementations are registered (src/tensor/backends.cpp):
 //
-//   reference — the naive scalar oracles (bitwise ground truth)
-//   blocked   — cache-blocked + thread-parallel kernels, bitwise-identical
-//               to `reference` (accumulation strictly in k order, no FMA)
+//   reference — the naive scalar oracles
 //   simd      — explicit AVX2+FMA kernels, with AVX-512 variants used when
-//               cpuid reports avx512f/avx512bw. Bounded-ULP vs `reference`
-//               (FMA contraction and lane-wise partial sums reassociate).
+//               cpuid reports avx512f/avx512bw
+//
+// One fp32 definition: every fp32 output is a single std::fmaf chain in k
+// (or sample) order, which `simd` vectorizes across outputs and never
+// across k. So the two backends, and simd's AVX2 and AVX-512 tables, give
+// bitwise-identical results; they differ only in speed.
 //
 // Selection: the first kernel call resolves the ENW_BACKEND environment
-// variable ("reference" | "blocked" | "simd" | "auto"); unset means "auto",
-// which picks `simd` when the CPU supports it and `blocked` otherwise.
-// An unknown name, or requesting `simd` on a CPU without AVX2+FMA, throws
+// variable ("reference" | "simd" | "auto"); unset means "auto", which picks
+// `simd` when the CPU supports it and `reference` otherwise. An unknown name,
+// or requesting `simd` on a CPU without AVX2+FMA, throws
 // std::invalid_argument — never a silent fallback. set_backend() overrides
 // at runtime.
 //
 // The paired-kernel contract (relied on by every batched-vs-per-sample
-// bitwise test): WITHIN one backend, the batched kernel is bitwise-identical
-// to its per-sample sibling —
-//   matmul_nt row i      == matvec of row i        (shared dot convention)
-//   matmul row s         == matvec_transposed      (shared accumulate chain)
+// bitwise test): the batched kernel is bitwise-identical to its per-sample
+// sibling —
+//   matmul_nt row i      == matvec of row i
+//   matmul row s         == matvec_transposed
 //   matmul_tn_acc        == sequential rank1_update
-// ACROSS backends results agree only up to the stricter tolerance() of the
-// two (testkit::backend_policy converts it to a TolerancePolicy).
+// Since every kernel computes the same chains, this holds within a backend
+// and across backends alike.
 //
 // This header lives in core so the dispatch contract is visible below the
 // tensor layer; the implementations and the registry live in enw_tensor
@@ -53,29 +55,15 @@ enum class ZeroSkip { kNone, kSkipZeroInputs };
 
 namespace core {
 
-/// How far a backend's results may drift from the `reference` oracle.
-/// bitwise (0, 0) for reference/blocked; bounded ULPs + absolute slack for
-/// simd, whose FMA chains and lane-wise partial sums legitimately round
-/// differently. testkit converts this into its TolerancePolicy.
-struct ToleranceSpec {
-  std::uint64_t max_ulps = 0;
-  float abs_slack = 0.0f;
-
-  bool bitwise() const { return max_ulps == 0 && abs_slack == 0.0f; }
-};
-
 class KernelBackend {
  public:
   virtual ~KernelBackend() = default;
 
-  /// Selection name: "reference", "blocked", "simd".
+  /// Selection name: "reference", "simd".
   virtual const char* name() const = 0;
 
   /// ISA level actually executing ("scalar", "avx2", "avx512").
   virtual const char* isa() const = 0;
-
-  /// Declared tolerance vs the reference oracle (see ToleranceSpec).
-  virtual ToleranceSpec tolerance() const = 0;
 
   // --- fp32 kernels (shapes validated by the enw:: dispatch wrappers) -----
   virtual Vector matvec(const Matrix& a, std::span<const float> x) const = 0;
@@ -92,7 +80,7 @@ class KernelBackend {
 
   // --- int8 quantized kernels --------------------------------------------
   // Integer arithmetic is exact, so these are bitwise-identical across ALL
-  // backends regardless of tolerance().
+  // backends too.
 
   /// C(i,j) = sum_k a8[i*k + kx] * b8[j*k + kx], accumulated in int32
   /// (products widened in-register; callers guarantee k <= kQgemmMaxK so the
@@ -117,9 +105,9 @@ inline constexpr std::size_t kQgemmMaxK = 133152;
 /// throws std::invalid_argument on an unknown or unavailable name.
 const KernelBackend& backend();
 
-/// Select a backend by name at runtime ("reference" | "blocked" | "simd" |
-/// "auto"). Throws std::invalid_argument when the name is unknown or the
-/// backend is unavailable on this CPU; the previous selection is kept.
+/// Select a backend by name at runtime ("reference" | "simd" | "auto").
+/// Throws std::invalid_argument when the name is unknown or the backend is
+/// unavailable on this CPU; the previous selection is kept.
 void set_backend(const std::string& name);
 
 /// Drop the current selection so the next backend() call re-resolves
@@ -132,7 +120,7 @@ void reset_backend_selection();
 const KernelBackend* current_backend_selection();
 
 /// All backends available on this machine, in dispatch-preference order
-/// (reference, blocked, then simd when the CPU supports it).
+/// (reference, then simd when the CPU supports it).
 std::vector<const KernelBackend*> available_backends();
 
 /// Lookup by name; nullptr when unknown/unavailable (set_backend throws

@@ -1,10 +1,10 @@
 // KernelBackend implementations and the runtime registry (core/backend.h).
 //
 // Lives in enw_tensor rather than enw_core because the backends need Matrix
-// and the blocked/simd kernel bodies; core only owns the interface. Like
-// every TU it is built with -ffp-contract=off (src/core/CMakeLists.txt), so
-// the scalar scratch math below (scale * u[r] etc.) rounds exactly once,
-// matching the reference/blocked conventions.
+// and the simd kernel tables; core only owns the interface. Like every TU it
+// is built with -ffp-contract=off (src/core/CMakeLists.txt), so the scalar
+// scratch math below (scale * u[r] etc.) rounds exactly once, matching the
+// reference kernels.
 
 #include "core/backend.h"
 
@@ -28,8 +28,8 @@ namespace enw::core {
 
 namespace {
 
-/// Rows per chunk targeting ~16K elements of work per task (same policy as
-/// the blocked kernels: a pure function of shape, never of thread count).
+/// Rows per chunk targeting ~16K elements of work per task: a pure function
+/// of shape, never of thread count.
 std::size_t row_grain(std::size_t inner, std::size_t floor_rows) {
   return std::max(floor_rows, 16384 / std::max<std::size_t>(1, inner));
 }
@@ -38,7 +38,6 @@ class ReferenceBackend final : public KernelBackend {
  public:
   const char* name() const override { return "reference"; }
   const char* isa() const override { return "scalar"; }
-  ToleranceSpec tolerance() const override { return {0, 0.0f}; }
 
   Vector matvec(const Matrix& a, std::span<const float> x) const override {
     return detail::matvec_ref(a, x);
@@ -76,48 +75,6 @@ class ReferenceBackend final : public KernelBackend {
   }
 };
 
-class BlockedBackend final : public KernelBackend {
- public:
-  const char* name() const override { return "blocked"; }
-  const char* isa() const override { return "portable"; }
-  ToleranceSpec tolerance() const override { return {0, 0.0f}; }
-
-  Vector matvec(const Matrix& a, std::span<const float> x) const override {
-    return detail::matvec_blocked(a, x);
-  }
-  Vector matvec_transposed(const Matrix& a, std::span<const float> x,
-                           ZeroSkip skip) const override {
-    return detail::matvec_transposed_blocked(a, x, skip);
-  }
-  Matrix matmul(const Matrix& a, const Matrix& b, ZeroSkip skip) const override {
-    return detail::matmul_blocked(a, b, skip);
-  }
-  Matrix matmul_nt(const Matrix& a, const Matrix& b) const override {
-    return detail::matmul_nt_blocked(a, b);
-  }
-  void matmul_tn_acc(Matrix& c, const Matrix& a, const Matrix& b, float scale,
-                     ZeroSkip skip) const override {
-    detail::matmul_tn_acc_blocked(c, a, b, scale, skip);
-  }
-  void rank1_update(Matrix& a, std::span<const float> u,
-                    std::span<const float> v, float scale,
-                    ZeroSkip skip) const override {
-    detail::rank1_update_blocked(a, u, v, scale, skip);
-  }
-  Matrix transpose(const Matrix& a) const override {
-    return detail::transpose_blocked(a);
-  }
-  void qgemm_nt_s32(const std::int8_t* a8, const std::int8_t* b8,
-                    std::int32_t* c32, std::size_t m, std::size_t n,
-                    std::size_t k) const override {
-    detail::qgemm_nt_s32_blocked(a8, b8, c32, m, n, k);
-  }
-  void s8_axpy(float* dst, const std::int8_t* codes, float scale,
-               std::size_t n) const override {
-    detail::s8_axpy_scalar(dst, codes, scale, n);
-  }
-};
-
 #ifdef ENW_HAVE_SIMD_BACKEND
 
 class SimdBackend final : public KernelBackend {
@@ -126,22 +83,12 @@ class SimdBackend final : public KernelBackend {
 
   const char* name() const override { return "simd"; }
   const char* isa() const override { return t_.isa; }
-  ToleranceSpec tolerance() const override {
-    // FMA contraction + lane-wise partial sums reassociate the reductions;
-    // for the O(1)-magnitude operands the workloads produce, 256 ULPs plus a
-    // small absolute floor (for near-cancellation around zero) bounds the
-    // drift vs the reference oracle.
-    return {256, 1e-4f};
-  }
 
   Vector matvec(const Matrix& a, std::span<const float> x) const override {
-    const std::size_t m = a.rows(), n = a.cols();
-    Vector y(m, 0.0f);
-    parallel::parallel_for(0, m, row_grain(n, 8),
-                           [&](std::size_t r0, std::size_t r1) {
-      for (std::size_t r = r0; r < r1; ++r)
-        y[r] = t_.dot(a.data() + r * n, x.data(), n);
-    });
+    // y (1 x m) = x (1 x n) · Aᵀ: the m = 1 case of matmul_nt, so a matvec
+    // is bitwise one row of the batched product.
+    Vector y(a.rows(), 0.0f);
+    gemm_nt(x.data(), a.data(), y.data(), 1, a.cols(), a.rows());
     return y;
   }
 
@@ -175,19 +122,8 @@ class SimdBackend final : public KernelBackend {
   }
 
   Matrix matmul_nt(const Matrix& a, const Matrix& b) const override {
-    // dot-based so C(i, j) is bitwise matvec(B, A.row(i))[j]: dot is
-    // symmetric in its arguments and depends only on k.
-    const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
-    Matrix c(m, n);
-    parallel::parallel_for(0, m, row_grain(k * n / 8 + 1, 1),
-                           [&](std::size_t i0, std::size_t i1) {
-      for (std::size_t i = i0; i < i1; ++i) {
-        const float* arow = a.data() + i * k;
-        float* crow = c.data() + i * n;
-        for (std::size_t j = 0; j < n; ++j)
-          crow[j] = t_.dot(arow, b.data() + j * k, k);
-      }
-    });
+    Matrix c(a.rows(), b.rows());
+    gemm_nt(a.data(), b.data(), c.data(), a.rows(), a.cols(), b.rows());
     return c;
   }
 
@@ -224,7 +160,7 @@ class SimdBackend final : public KernelBackend {
   }
 
   Matrix transpose(const Matrix& a) const override {
-    // Pure data movement: the blocked tile transpose is already optimal here.
+    // Pure data movement: the parallel tile transpose is already optimal here.
     return detail::transpose_blocked(a);
   }
 
@@ -243,6 +179,24 @@ class SimdBackend final : public KernelBackend {
   }
 
  private:
+  /// Columns per parallel chunk of gemm_nt: a multiple of both tables' pack
+  /// panel (4 vectors: 32 or 64 columns), so no chunk splits a panel.
+  static constexpr std::size_t kNtPanel = 64;
+
+  /// c (m x n) = a (m x k) · bᵀ, b (n x k), all dense row-major. Chunks own
+  /// disjoint column panels and each packs its own B rows, so the partition
+  /// (a pure function of the shape) never changes a bit.
+  void gemm_nt(const float* a, const float* b, float* c, std::size_t m,
+               std::size_t k, std::size_t n) const {
+    const std::size_t panels = (n + kNtPanel - 1) / kNtPanel;
+    parallel::parallel_for(0, panels, row_grain(kNtPanel * k * m, 1),
+                           [&](std::size_t p0, std::size_t p1) {
+      const std::size_t j0 = p0 * kNtPanel;
+      const std::size_t j1 = std::min(n, p1 * kNtPanel);
+      t_.gemm_nt(a, k, b + j0 * k, k, c + j0, n, m, k, j1 - j0);
+    });
+  }
+
   const detail::SimdKernelTable& t_;
 };
 
@@ -250,11 +204,6 @@ class SimdBackend final : public KernelBackend {
 
 const KernelBackend& reference_instance() {
   static const ReferenceBackend b;
-  return b;
-}
-
-const KernelBackend& blocked_instance() {
-  static const BlockedBackend b;
   return b;
 }
 
@@ -284,10 +233,9 @@ std::atomic<const KernelBackend*> g_active{nullptr};
 const KernelBackend* resolve_or_throw(const std::string& name) {
   if (name == "auto") {
     const KernelBackend* simd = simd_instance_or_null();
-    return simd ? simd : &blocked_instance();
+    return simd ? simd : &reference_instance();
   }
   if (name == "reference") return &reference_instance();
-  if (name == "blocked") return &blocked_instance();
   if (name == "simd") {
     const KernelBackend* simd = simd_instance_or_null();
     if (!simd) {
@@ -298,7 +246,7 @@ const KernelBackend* resolve_or_throw(const std::string& name) {
     return simd;
   }
   throw std::invalid_argument("unknown kernel backend '" + name +
-                              "' (expected reference|blocked|simd|auto)");
+                              "' (expected reference|simd|auto)");
 }
 
 }  // namespace
@@ -330,15 +278,13 @@ const KernelBackend* current_backend_selection() {
 }
 
 std::vector<const KernelBackend*> available_backends() {
-  std::vector<const KernelBackend*> out{&reference_instance(),
-                                        &blocked_instance()};
+  std::vector<const KernelBackend*> out{&reference_instance()};
   if (const KernelBackend* simd = simd_instance_or_null()) out.push_back(simd);
   return out;
 }
 
 const KernelBackend* find_backend(const std::string& name) {
   if (name == "reference") return &reference_instance();
-  if (name == "blocked") return &blocked_instance();
   if (name == "simd") return simd_instance_or_null();
   // "auto" is a selection policy, not a backend name; set_backend resolves it.
   return nullptr;

@@ -4,9 +4,11 @@
 // models are validated against: matvec here is the "exact" counterpart of
 // the Ohm's-law/Kirchhoff's-law readout in src/analog.
 //
-// Since PR 6 every kernel below dispatches through the runtime-selected
-// core::KernelBackend (reference | blocked | simd — see core/backend.h and
-// DESIGN.md §10). ZeroSkip now lives in core/backend.h alongside the backend
+// Every kernel below dispatches through the runtime-selected
+// core::KernelBackend (reference | simd — see core/backend.h and DESIGN.md
+// §10). Each fp32 output is one std::fmaf chain in k (or sample) order on
+// every backend, so results are bitwise identical across backends, ISAs and
+// thread counts. ZeroSkip lives in core/backend.h alongside the backend
 // interface; it is re-exported here unchanged.
 #pragma once
 
@@ -17,36 +19,35 @@
 
 namespace enw {
 
-/// y = A x. A is (m x n), x has n elements, y gets m elements.
-/// Dispatches to the active backend; the blocked backend is bitwise-identical
-/// to matvec_reference for every thread count, the simd backend is
-/// bounded-ULP (see KernelBackend::tolerance()).
+/// y = A x. A is (m x n), x has n elements, y gets m elements. Each y[r] is
+/// one fmaf chain over row r in column order: bitwise matvec_reference on
+/// every backend and thread count.
 Vector matvec(const Matrix& a, std::span<const float> x);
 
 /// y = A^T x. A is (m x n), x has m elements, y gets n elements.
 /// Each output column accumulates over rows in fixed order, so results are
-/// bitwise deterministic across thread counts within any one backend.
+/// bitwise deterministic across thread counts and backends.
 Vector matvec_transposed(const Matrix& a, std::span<const float> x,
                          ZeroSkip skip = ZeroSkip::kNone);
 
 /// C = A B. The minibatch forward GEMM over input-major weights (B = W^T,
 /// as nn::DigitalLinear stores them): row s of C holds
-/// matvec_transposed(B, A.row(s)) bitwise (per backend) under the same skip
+/// matvec_transposed(B, A.row(s)) bitwise under the same skip
 /// mode, for every thread count. With kSkipZeroInputs, terms whose A(i,k)
 /// is exactly zero are skipped.
 Matrix matmul(const Matrix& a, const Matrix& b, ZeroSkip skip = ZeroSkip::kNone);
 
 /// C = A B^T. A is (m x k), B is (n x k), C gets (m x n). The minibatch
 /// backward GEMM over input-major weights (dX = dY (W^T)^T): row i of C holds
-/// matvec(B, A.row(i)) bitwise (per backend), for every thread count — the
-/// paired-kernel contract batched code relies on.
+/// matvec(B, A.row(i)) bitwise, for every thread count — the paired-kernel
+/// contract batched code relies on.
 Matrix matmul_nt(const Matrix& a, const Matrix& b);
 
 /// C += scale * A^T B. A is (batch x m), B is (batch x n), C is (m x n) —
 /// the accumulated-outer-product (minibatch weight-gradient) kernel. Each
 /// element folds samples in batch order as C(r,c) += (scale*A(s,r))*B(s,c),
 /// exactly the operation sequence of `batch` successive rank1_update calls,
-/// so it is bitwise-identical to the per-sample update loop (per backend).
+/// so it is bitwise-identical to the per-sample update loop.
 /// kSkipZeroInputs skips samples whose scale*A(s,r) is exactly zero (same
 /// contract as rank1_update).
 void matmul_tn_acc(Matrix& c, const Matrix& a, const Matrix& b, float scale,

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "core/parallel.h"
 #include "obs/obs.h"
 #include "tensor/kernels_internal.h"
 
@@ -27,48 +26,6 @@ void qgemm_nt_s32_ref(const std::int8_t* a8, const std::int8_t* b8,
       cr[j] = acc;
     }
   }
-}
-
-void qgemm_nt_s32_blocked(const std::int8_t* a8, const std::int8_t* b8,
-                          std::int32_t* c32, std::size_t m, std::size_t n,
-                          std::size_t k) {
-  // Row-parallel with a 4-column micro-kernel sharing the streamed a row.
-  // Integer accumulation is exact, so any blocking is bitwise-safe.
-  const std::size_t grain =
-      std::max<std::size_t>(1, 16384 / std::max<std::size_t>(1, k * n / 4 + 1));
-  parallel::parallel_for(0, m, grain, [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t i = i0; i < i1; ++i) {
-      const std::int8_t* ar = a8 + i * k;
-      std::int32_t* cr = c32 + i * n;
-      std::size_t j = 0;
-      for (; j + 4 <= n; j += 4) {
-        const std::int8_t* b0 = b8 + j * k;
-        const std::int8_t* b1 = b0 + k;
-        const std::int8_t* b2 = b1 + k;
-        const std::int8_t* b3 = b2 + k;
-        std::int32_t acc0 = 0, acc1 = 0, acc2 = 0, acc3 = 0;
-        for (std::size_t kx = 0; kx < k; ++kx) {
-          const std::int32_t av = ar[kx];
-          acc0 += av * b0[kx];
-          acc1 += av * b1[kx];
-          acc2 += av * b2[kx];
-          acc3 += av * b3[kx];
-        }
-        cr[j] = acc0;
-        cr[j + 1] = acc1;
-        cr[j + 2] = acc2;
-        cr[j + 3] = acc3;
-      }
-      for (; j < n; ++j) {
-        const std::int8_t* br = b8 + j * k;
-        std::int32_t acc = 0;
-        for (std::size_t kx = 0; kx < k; ++kx)
-          acc += static_cast<std::int32_t>(ar[kx]) *
-                 static_cast<std::int32_t>(br[kx]);
-        cr[j] = acc;
-      }
-    }
-  });
 }
 
 void s8_axpy_scalar(float* dst, const std::int8_t* codes, float scale,

@@ -8,7 +8,7 @@
 // inference engine and the recsys embedding pooling path.
 //
 // All integer kernels are exact, so results are bitwise-identical across
-// every backend (reference, blocked, simd) and thread count.
+// both backends (reference, simd), both simd ISAs, and every thread count.
 #pragma once
 
 #include <cstdint>

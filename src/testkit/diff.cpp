@@ -162,14 +162,6 @@ Matrix with_backend(const std::string& name,
   return fn();
 }
 
-TolerancePolicy backend_policy(const core::KernelBackend& backend) {
-  const core::ToleranceSpec spec = backend.tolerance();
-  TolerancePolicy p;
-  p.max_ulps = spec.max_ulps;
-  p.abs_slack = spec.abs_slack;
-  return p;
-}
-
 Matrix as_row(std::span<const float> v) {
   Matrix m(1, v.size());
   if (!v.empty()) std::memcpy(m.data(), v.data(), v.size() * sizeof(float));

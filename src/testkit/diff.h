@@ -1,7 +1,7 @@
 // Differential-check harness (enw::testkit).
 //
 // The library's central correctness claims are equivalences: batched == per
-// sample, threads=N == threads=1, blocked kernel == naive reference, analog
+// sample, threads=N == threads=1, simd kernel == naive reference, analog
 // with zero noise ≈ digital. PR 1/2 asserted these with ad-hoc memcmp
 // helpers copied between test files; this header promotes the pattern into a
 // reusable harness that (a) runs the same workload through two
@@ -109,9 +109,10 @@ Matrix with_threads(std::size_t n, const std::function<Matrix()>& fn);
 /// RAII kernel-backend pin; restores the previous selection state on exit
 /// (including "unresolved", so a test that never forced a backend leaves the
 /// ENW_BACKEND/auto resolution untouched for the next test). The shared
-/// helper behind every backend-sensitive equivalence test: a test that
-/// asserts "blocked == reference bitwise" must not let the ambient backend
-/// decide what the optimized kernels mean.
+/// helper behind every cross-backend test: the backends compute identical
+/// bits, so a test runs one workload under each registered backend and
+/// compares bitwise, without letting the ambient backend decide what a
+/// kernel call means.
 class BackendScope {
  public:
   explicit BackendScope(const std::string& name);
@@ -125,11 +126,6 @@ class BackendScope {
 
 /// Run fn with the named kernel backend active (restored afterwards).
 Matrix with_backend(const std::string& name, const std::function<Matrix()>& fn);
-
-/// The TolerancePolicy a backend declares against the reference oracle:
-/// bitwise for reference/blocked, bounded-ULP for simd. Differential tests
-/// iterate core::available_backends() and hold each to exactly this.
-TolerancePolicy backend_policy(const core::KernelBackend& backend);
 
 /// Wrap a vector as a 1 x n Matrix (for differential_check workloads).
 Matrix as_row(std::span<const float> v);

@@ -461,6 +461,87 @@ TEST(ArtifactNegative, ShapeProductWrapRejected) {
   EXPECT_EQ(open_error(tmp.path, LoadMode::kOwned), ArtifactErrorCode::kBadIndex);
 }
 
+TEST(ArtifactNegative, MetaU64WrapRejected) {
+  // "18446744073709551618" is 2^64 + 2; accumulated mod 2^64 it reads as 2,
+  // and with two layers beside it this CRC-valid file would load as a
+  // 2-layer MLP. A decimal u64 meta value must reject the wrap instead.
+  TempArtifact tmp("meta_wrap");
+  ArtifactWriter w(artifact::kKindMlp);
+  const float wt[4] = {1.0f, 2.0f, 3.0f, 4.0f};
+  const float bias[2] = {0.0f, 0.0f};
+  w.add_meta("layers", "18446744073709551618");
+  for (const char* prefix : {"layer0", "layer1"}) {
+    w.add_f32(std::string(prefix) + ".wt", wt, 2, 2);
+    w.add_f32(std::string(prefix) + ".b", bias, 2, 1);
+    w.add_meta_u64(std::string(prefix) + ".act", 0);
+  }
+  w.add_meta("max", "18446744073709551615");   // 2^64 - 1: the largest u64
+  w.add_meta("over", "18446744073709551616");  // 2^64: the first wrap
+  w.write(tmp.path);
+
+  const auto a = Artifact::open(tmp.path);
+  EXPECT_EQ(a->meta_u64("max"), UINT64_MAX);
+  for (const char* key : {"over", "layers"}) {
+    try {
+      (void)a->meta_u64(key);
+      ADD_FAILURE() << "meta '" << key << "' parsed past 2^64 - 1";
+    } catch (const ArtifactError& e) {
+      EXPECT_EQ(e.code(), ArtifactErrorCode::kBadIndex) << key << ": " << e.what();
+    }
+  }
+  for (Materialize mat : {Materialize::kView, Materialize::kCopy}) {
+    try {
+      (void)artifact::load_mlp(tmp.path, LoadMode::kMap, mat);
+      ADD_FAILURE() << "an MLP claiming 2^64 + 2 layers loaded";
+    } catch (const ArtifactError& e) {
+      EXPECT_EQ(e.code(), ArtifactErrorCode::kBadIndex) << e.what();
+    }
+  }
+}
+
+TEST(ArtifactNegative, DimsWrapRejected) {
+  // "4,18446744073709551620,3" claims a 2^64 + 4 wide hidden layer. Read mod
+  // 2^64 it is 4, and with 4-4-3 weights beside it the file would load as a
+  // 4-4-3 QatMlp; the dims parser must reject the wrap. The same file with
+  // honest dims is the control.
+  Rng rng(202);
+  nn::QatConfig cfg;
+  cfg.dims = {4, 4, 3};
+  const nn::QatMlp model(cfg, rng);
+  const auto write = [&](const std::string& dims, const std::string& path) {
+    ArtifactWriter w(artifact::kKindQatMlp);
+    w.add_meta("dims", dims);
+    w.add_meta_u64("weight_bits", static_cast<std::uint64_t>(cfg.weight_bits));
+    w.add_meta_u64("act_bits", static_cast<std::uint64_t>(cfg.act_bits));
+    w.add_meta_u64("high_precision_edges", cfg.high_precision_edges ? 1 : 0);
+    const float hyper[2] = {cfg.alpha_lr_scale, cfg.alpha_l2};
+    w.add_f32("qat.hyper", hyper, 2, 1);
+    for (std::size_t i = 0; i < model.num_layers(); ++i) {
+      const std::string prefix = "qat.layer" + std::to_string(i);
+      const Matrix& wm = model.weight(i);
+      w.add_f32(prefix + ".w", wm.data(), wm.rows(), wm.cols());
+      w.add_f32(prefix + ".b", model.bias(i).data(), model.bias(i).size(), 1);
+    }
+    const float alpha = model.pact_alpha(0);
+    w.add_f32("qat.pact_alpha", &alpha, 1, 1);
+    w.write(path);
+  };
+  TempArtifact honest("dims_honest");
+  write("4,4,3", honest.path);
+  EXPECT_EQ(artifact::load_qat_mlp(honest.path).model.config().dims, cfg.dims);
+
+  TempArtifact tmp("dims_wrap");
+  write("4,18446744073709551620,3", tmp.path);
+  for (Materialize mat : {Materialize::kView, Materialize::kCopy}) {
+    try {
+      (void)artifact::load_qat_mlp(tmp.path, LoadMode::kMap, mat);
+      ADD_FAILURE() << "a QatMlp with a 2^64 + 4 wide layer loaded";
+    } catch (const ArtifactError& e) {
+      EXPECT_EQ(e.code(), ArtifactErrorCode::kBadIndex) << e.what();
+    }
+  }
+}
+
 TEST(ArtifactNegative, RowMajorDenseWeightsAreAMissingTensor) {
   // Dense layers are stored input-major as `.wt`; a file holding only the
   // row-major `.w` (the layout before W^T storage) has no reader and fails

@@ -1,4 +1,4 @@
-// Kernel-backend registry + per-backend differential tests (PR 6).
+// Kernel-backend registry + per-backend differential tests.
 //
 // Three claims are enforced here:
 //
@@ -6,22 +6,16 @@
 //      registered names and THROW on anything else — an unknown backend must
 //      never silently fall back to a different implementation (a fallback
 //      would quietly change every numeric result downstream).
-//   2. Every registered backend matches the reference oracle over seeded
-//      property sweeps, held to exactly the tolerance it declares:
-//      bitwise for blocked, bounded-ULP for simd.
-//   3. The integer kernels (qgemm_nt_s32, s8_axpy) are bitwise identical
-//      across ALL backends — integer accumulation is exact, so vectorization
-//      must not be observable at all.
-//
-// The fp32 sweeps for non-bitwise backends salt inputs with denormals and
-// signed zeros but NOT with the generators' ±1e30 "specials": huge operands
-// overflow intermediate products to inf, and inf/NaN ULP distances are not
-// meaningful for a bounded-ULP comparison. Bitwise backends get the full
-// specials treatment (they must reproduce inf/NaN payloads exactly).
+//   2. Every registered backend matches the reference oracle BITWISE over
+//      seeded property sweeps, the generators' specials (denormals, signed
+//      zeros, ±1e30 overflow fodder) included: every fp32 kernel is the same
+//      k-ordered FMA chain per output on every backend.
+//   3. Each simd ISA table, called directly, computes that chain: gemm_kn and
+//      gemm_nt equal a scalar std::fmaf loop on AVX2 and AVX-512 alike, and
+//      the integer kernels (qgemm_nt_s32, s8_axpy) are exact everywhere.
 
 #include <cmath>
 #include <cstdlib>
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -41,7 +35,7 @@ namespace enw {
 namespace core {
 // gtest_discover_tests names each parameterized case after its printed
 // parameter; print a backend as its selection name so the ctest names read
-// `.../blocked` and stay the same across discoveries (a pointer would not).
+// `.../simd` and stay the same across discoveries (a pointer would not).
 static void PrintTo(const KernelBackend* backend, std::ostream* os) {
   *os << backend->name();
 }
@@ -50,7 +44,6 @@ static void PrintTo(const KernelBackend* backend, std::ostream* os) {
 namespace {
 
 using testkit::BackendScope;
-using testkit::TolerancePolicy;
 
 // RAII environment-variable override (tests must not leak env state into
 // later tests in the same binary).
@@ -84,26 +77,8 @@ class EnvVarScope {
 
 void expect_bitwise(const Matrix& lhs, const Matrix& rhs,
                     const std::string& what) {
-  const testkit::Divergence d =
-      testkit::first_divergence(lhs, rhs, TolerancePolicy::bitwise());
+  const testkit::Divergence d = testkit::first_divergence(lhs, rhs);
   EXPECT_TRUE(d.ok()) << what << ": " << d.report();
-}
-
-// Overwrite a deterministic sprinkling of entries with the edge values a
-// bounded-ULP comparison can still digest (no ±1e30 overflow fodder).
-void salt_small_edges(Matrix& m) {
-  static const float kEdges[] = {
-      -0.0f,
-      0.0f,
-      std::numeric_limits<float>::denorm_min(),
-      -std::numeric_limits<float>::denorm_min(),
-      1e-38f,
-      -1e-38f,
-  };
-  std::size_t e = 0;
-  for (std::size_t i = 0; i < m.size(); i += 7) {
-    m.data()[i] = kEdges[e++ % (sizeof(kEdges) / sizeof(kEdges[0]))];
-  }
 }
 
 struct SweepShape {
@@ -119,13 +94,15 @@ const SweepShape kSweepShapes[] = {
 // ---------------------------------------------------------------------------
 
 TEST(BackendRegistry, ReferenceAndBlockedAlwaysRegisteredAndBitwise) {
+  // Two backends: `reference` always, first; `simd` when the CPU has it.
+  // `blocked` is gone, an unknown name like any other.
   const auto backends = core::available_backends();
-  ASSERT_GE(backends.size(), 2u);
+  ASSERT_GE(backends.size(), 1u);
+  ASSERT_LE(backends.size(), 2u);
   EXPECT_STREQ(backends[0]->name(), "reference");
   EXPECT_STREQ(backends[0]->isa(), "scalar");
-  EXPECT_TRUE(backends[0]->tolerance().bitwise());
-  EXPECT_STREQ(backends[1]->name(), "blocked");
-  EXPECT_TRUE(backends[1]->tolerance().bitwise());
+  EXPECT_EQ(backends.size() == 2, core::find_backend("simd") != nullptr);
+  EXPECT_EQ(core::find_backend("blocked"), nullptr);
 }
 
 TEST(BackendRegistry, SimdRegisteredExactlyWhenCpuSupportsIt) {
@@ -133,7 +110,6 @@ TEST(BackendRegistry, SimdRegisteredExactlyWhenCpuSupportsIt) {
   const core::KernelBackend* simd = core::find_backend("simd");
   if (f.avx2 && f.fma) {
     ASSERT_NE(simd, nullptr);
-    EXPECT_FALSE(simd->tolerance().bitwise());
     if (f.avx512f && f.avx512bw) {
       EXPECT_STREQ(simd->isa(), "avx512");
     } else {
@@ -146,29 +122,33 @@ TEST(BackendRegistry, SimdRegisteredExactlyWhenCpuSupportsIt) {
 
 TEST(BackendRegistry, FindBackendReturnsNullForUnknownName) {
   EXPECT_NE(core::find_backend("reference"), nullptr);
-  EXPECT_NE(core::find_backend("blocked"), nullptr);
+  EXPECT_EQ(core::find_backend("blocked"), nullptr);
   EXPECT_EQ(core::find_backend("nonsense"), nullptr);
   EXPECT_EQ(core::find_backend(""), nullptr);
   EXPECT_EQ(core::find_backend("auto"), nullptr);  // a policy, not a backend
 }
 
 TEST(BackendRegistry, SetBackendThrowsOnUnknownNameAndKeepsSelection) {
-  BackendScope pin("blocked");
-  EXPECT_THROW(core::set_backend("nonsense"), std::invalid_argument);
-  ASSERT_NE(core::current_backend_selection(), nullptr);
-  EXPECT_STREQ(core::current_backend_selection()->name(), "blocked");
+  BackendScope pin("reference");
+  for (const char* bogus : {"nonsense", "blocked"}) {
+    EXPECT_THROW(core::set_backend(bogus), std::invalid_argument) << bogus;
+    ASSERT_NE(core::current_backend_selection(), nullptr);
+    EXPECT_STREQ(core::current_backend_selection()->name(), "reference");
+  }
 }
 
-// Satellite-3 regression: a bogus ENW_BACKEND must throw at first use, not
-// silently fall back to some default.
+// A bogus ENW_BACKEND must throw at first use, not silently fall back to
+// some default.
 TEST(BackendRegistry, BogusEnvBackendThrowsInsteadOfFallingBack) {
-  EnvVarScope env("ENW_BACKEND", "nonsense");
-  core::reset_backend_selection();
-  Matrix a(2, 3);
-  const Vector x(3, 1.0f);
-  EXPECT_THROW(matvec(a, x), std::invalid_argument);
-  // Selection must still be unresolved — a later fix of the env var heals it.
-  EXPECT_EQ(core::current_backend_selection(), nullptr);
+  for (const char* bogus : {"nonsense", "blocked"}) {
+    EnvVarScope env("ENW_BACKEND", bogus);
+    core::reset_backend_selection();
+    Matrix a(2, 3);
+    const Vector x(3, 1.0f);
+    EXPECT_THROW(matvec(a, x), std::invalid_argument) << bogus;
+    // Selection must still be unresolved — a later fix of the env var heals it.
+    EXPECT_EQ(core::current_backend_selection(), nullptr);
+  }
   core::reset_backend_selection();
 }
 
@@ -186,45 +166,44 @@ TEST(BackendRegistry, AutoPrefersSimdWhenAvailable) {
     EnvVarScope env("ENW_BACKEND", "auto");
     core::reset_backend_selection();
     const char* expected =
-        core::find_backend("simd") != nullptr ? "simd" : "blocked";
+        core::find_backend("simd") != nullptr ? "simd" : "reference";
     EXPECT_STREQ(core::backend().name(), expected);
   }
   core::reset_backend_selection();
 }
 
 TEST(BackendRegistry, BackendScopeRestoresPreviousSelection) {
-  core::set_backend("blocked");
+  const auto backends = core::available_backends();
+  const std::string outer = backends.back()->name();  // simd when registered
+  core::set_backend(outer);
   {
     BackendScope scope("reference");
     EXPECT_STREQ(core::backend().name(), "reference");
   }
-  EXPECT_STREQ(core::backend().name(), "blocked");
+  EXPECT_EQ(core::backend().name(), outer);
   core::reset_backend_selection();
 }
 
 // ---------------------------------------------------------------------------
-// fp32 differential sweeps: every backend vs the reference oracle, held to
-// exactly its declared tolerance.
+// fp32 differential sweeps: every backend vs the reference oracle, bitwise,
+// specials included.
 // ---------------------------------------------------------------------------
 
 class BackendSweepTest : public ::testing::TestWithParam<const core::KernelBackend*> {
  protected:
   const core::KernelBackend& ref() { return *core::find_backend("reference"); }
   const core::KernelBackend& bk() { return *GetParam(); }
-  TolerancePolicy policy() { return testkit::backend_policy(bk()); }
 
-  // specials only for bitwise backends (see file comment).
   Matrix gen(Rng& rng, std::size_t r, std::size_t c, double zero_fraction) {
     testkit::MatrixGenOptions opts;
     opts.zero_fraction = zero_fraction;
-    opts.specials = bk().tolerance().bitwise();
-    Matrix m = testkit::random_matrix(rng, r, c, opts);
-    if (!bk().tolerance().bitwise()) salt_small_edges(m);
-    return m;
+    opts.specials = true;
+    return testkit::random_matrix(rng, r, c, opts);
   }
 
-  void expect_close(const Matrix& got, const Matrix& want, const std::string& what) {
-    const testkit::Divergence d = testkit::first_divergence(got, want, policy());
+  void expect_matches_ref(const Matrix& got, const Matrix& want,
+                          const std::string& what) {
+    const testkit::Divergence d = testkit::first_divergence(got, want);
     EXPECT_TRUE(d.ok()) << bk().name() << " vs reference, " << what << ": "
                         << d.report();
   }
@@ -236,8 +215,8 @@ TEST_P(BackendSweepTest, MatvecMatchesReference) {
     const Matrix a = gen(rng, s.m, s.k, 0.0);
     const Matrix xm = gen(rng, 1, s.k, 0.0);
     const Vector x(xm.row(0).begin(), xm.row(0).end());
-    expect_close(testkit::as_row(bk().matvec(a, x)),
-                 testkit::as_row(ref().matvec(a, x)), "matvec");
+    expect_matches_ref(testkit::as_row(bk().matvec(a, x)),
+                       testkit::as_row(ref().matvec(a, x)), "matvec");
   }
 }
 
@@ -248,9 +227,9 @@ TEST_P(BackendSweepTest, MatvecTransposedMatchesReference) {
       const Matrix a = gen(rng, s.k, s.n, 0.0);
       const Matrix xm = gen(rng, 1, s.k, skip == ZeroSkip::kNone ? 0.0 : 0.4);
       const Vector x(xm.row(0).begin(), xm.row(0).end());
-      expect_close(testkit::as_row(bk().matvec_transposed(a, x, skip)),
-                   testkit::as_row(ref().matvec_transposed(a, x, skip)),
-                   "matvec_transposed");
+      expect_matches_ref(testkit::as_row(bk().matvec_transposed(a, x, skip)),
+                         testkit::as_row(ref().matvec_transposed(a, x, skip)),
+                         "matvec_transposed");
     }
   }
 }
@@ -261,7 +240,8 @@ TEST_P(BackendSweepTest, MatmulMatchesReference) {
     for (ZeroSkip skip : {ZeroSkip::kNone, ZeroSkip::kSkipZeroInputs}) {
       const Matrix a = gen(rng, s.m, s.k, skip == ZeroSkip::kNone ? 0.0 : 0.4);
       const Matrix b = gen(rng, s.k, s.n, 0.0);
-      expect_close(bk().matmul(a, b, skip), ref().matmul(a, b, skip), "matmul");
+      expect_matches_ref(bk().matmul(a, b, skip), ref().matmul(a, b, skip),
+                         "matmul");
     }
   }
 }
@@ -271,7 +251,8 @@ TEST_P(BackendSweepTest, MatmulNtMatchesReference) {
   for (const SweepShape& s : kSweepShapes) {
     const Matrix a = gen(rng, s.m, s.k, 0.0);
     const Matrix b = gen(rng, s.n, s.k, 0.0);
-    expect_close(bk().matmul_nt(a, b), ref().matmul_nt(a, b), "matmul_nt");
+    expect_matches_ref(bk().matmul_nt(a, b), ref().matmul_nt(a, b),
+                       "matmul_nt");
   }
 }
 
@@ -285,7 +266,7 @@ TEST_P(BackendSweepTest, MatmulTnAccMatchesReference) {
       Matrix c_ref = c_bk;
       bk().matmul_tn_acc(c_bk, a, b, 0.5f, skip);
       ref().matmul_tn_acc(c_ref, a, b, 0.5f, skip);
-      expect_close(c_bk, c_ref, "matmul_tn_acc");
+      expect_matches_ref(c_bk, c_ref, "matmul_tn_acc");
     }
   }
 }
@@ -302,7 +283,7 @@ TEST_P(BackendSweepTest, Rank1UpdateMatchesReference) {
       Matrix a_ref = a_bk;
       bk().rank1_update(a_bk, u, v, -0.25f, skip);
       ref().rank1_update(a_ref, u, v, -0.25f, skip);
-      expect_close(a_bk, a_ref, "rank1_update");
+      expect_matches_ref(a_bk, a_ref, "rank1_update");
     }
   }
 }
@@ -317,8 +298,8 @@ TEST_P(BackendSweepTest, TransposeMatchesReferenceBitwise) {
   }
 }
 
-// The paired-kernel contract holds WITHIN each backend (bitwise), including
-// the bounded-ULP simd backend: batching must never change a result.
+// The paired-kernel contract holds within each backend (bitwise): batching
+// must never change a result.
 TEST_P(BackendSweepTest, PairedKernelContractIsBitwiseWithinBackend) {
   Rng rng(108);
   for (const SweepShape& s : kSweepShapes) {
@@ -616,6 +597,38 @@ void expect_gemm_kn_is_scalar_chain(const detail::SimdKernelTable& t) {
   }
 }
 
+// gemm_nt, the packed A·Bᵀ entry behind simd matvec (m = 1) and matmul_nt:
+// every output is the same scalar chain, over ragged k (the masked pack
+// edge) and ragged n (a partial row group and a partial panel). A, B and C
+// are exact-size heap blocks, so a pack load past column k of a row, or past
+// row n of B, is an out-of-bounds access under ASan.
+void expect_gemm_nt_is_scalar_chain(const detail::SimdKernelTable& t) {
+  Rng rng(132);
+  for (std::size_t k : {1, 15, 16, 17, 37, 784}) {
+    for (std::size_t n : {1, 7, 15, 16, 17, 31, 33, 64, 65, 79}) {
+      for (std::size_t m : {1, 3, 4, 5}) {
+        std::vector<float> a(m * k), b(n * k);
+        for (float& v : a) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+        for (float& v : b) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+        std::vector<float> want(m * n);
+        for (std::size_t i = 0; i < m; ++i) {
+          for (std::size_t j = 0; j < n; ++j) {
+            float acc = 0.0f;
+            for (std::size_t kx = 0; kx < k; ++kx)
+              acc = std::fmaf(a[i * k + kx], b[j * k + kx], acc);
+            want[i * n + j] = acc;
+          }
+        }
+        std::vector<float> got(m * n, std::nanf(""));  // must be overwritten
+        t.gemm_nt(a.data(), k, b.data(), k, got.data(), n, m, k, n);
+        const testkit::Divergence d = testkit::first_divergence(got, want);
+        EXPECT_TRUE(d.ok()) << t.isa << " m=" << m << " n=" << n << " k=" << k
+                            << ": " << d.report();
+      }
+    }
+  }
+}
+
 #endif
 
 #ifdef ENW_SIMD_AVX2
@@ -631,6 +644,22 @@ TEST(SimdGemmKn, Avx512ColumnTailIsTheScalarKOrderedChain) {
   const core::CpuFeatures& f = core::cpu_features();
   if (!(f.avx512f && f.avx512bw && f.fma)) GTEST_SKIP() << "host lacks avx512f+bw";
   expect_gemm_kn_is_scalar_chain(detail::simd_avx512_table());
+}
+#endif
+
+#ifdef ENW_SIMD_AVX2
+TEST(SimdGemmNt, Avx2PackedPanelIsTheScalarKOrderedChain) {
+  const core::CpuFeatures& f = core::cpu_features();
+  if (!(f.avx2 && f.fma)) GTEST_SKIP() << "host lacks avx2+fma";
+  expect_gemm_nt_is_scalar_chain(detail::simd_avx2_table());
+}
+#endif
+
+#ifdef ENW_SIMD_AVX512
+TEST(SimdGemmNt, Avx512PackedPanelIsTheScalarKOrderedChain) {
+  const core::CpuFeatures& f = core::cpu_features();
+  if (!(f.avx512f && f.avx512bw && f.fma)) GTEST_SKIP() << "host lacks avx512f+bw";
+  expect_gemm_nt_is_scalar_chain(detail::simd_avx512_table());
 }
 #endif
 

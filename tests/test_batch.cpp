@@ -170,9 +170,8 @@ TEST(MlpBatch, InferBatchBitwiseEqualsPerSampleInference) {
 // over the input-major W^T that DigitalLinear stores: forward
 // matvec_transposed(wt, x), backward matvec(wt, g), and each update a rank-1
 // x (-lr * delta)^T into W^T. The 6-5-3 net is narrower than one simd vector;
-// the 40-33-17 net is wider than 16 lanes with ragged column tails, where a
-// k-ordered FMA chain and a lane-partitioned dot round differently, so it
-// fails if the library pairs its kernels any other way.
+// the 40-33-17 net is wider than 16 lanes with ragged column tails, so the
+// simd kernels' masked tails and partial pack panels run too.
 TEST(MlpBatch, TrainBatchBitwiseEqualsHandAccumulatedGradients) {
   ThreadCountGuard guard;
   const float lr = 0.1f;

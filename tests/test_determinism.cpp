@@ -1,10 +1,13 @@
 // Determinism sweep (testkit satellite): train the paper's 784-256-10 MLP
 // and run a few-shot episode under every combination of seed {1, 2, 3} and
 // thread count {1, 2, 8}, and assert that losses, final weights, and episode
-// accuracy are BITWISE identical across thread counts for each seed.
+// accuracy are BITWISE identical across thread counts for each seed. The
+// MLP and DLRM training runs are also repeated under every registered
+// kernel backend and must match `reference` bitwise.
 //
 // This is the library-wide contract the thread pool's pure chunk partition
-// exists to uphold: parallelism is an execution detail, never a numeric one.
+// and the one fp32 kernel definition exist to uphold: parallelism and the
+// kernel backend are execution details, never numeric ones.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,6 +17,7 @@
 #include <tuple>
 #include <vector>
 
+#include "core/backend.h"
 #include "core/rng.h"
 #include "data/click_log.h"
 #include "data/dataset.h"
@@ -65,6 +69,19 @@ TrainResult run_training(std::uint64_t seed, std::size_t threads,
   return r;
 }
 
+void expect_same_training(const TrainResult& base, const TrainResult& run,
+                          const std::string& what) {
+  const auto loss_div =
+      first_divergence(as_row(std::span<const float>(base.losses)),
+                       as_row(std::span<const float>(run.losses)));
+  EXPECT_TRUE(loss_div.ok()) << what << ": " << loss_div.report();
+  ASSERT_EQ(base.weights.size(), run.weights.size());
+  for (std::size_t l = 0; l < base.weights.size(); ++l) {
+    const auto w_div = first_divergence(base.weights[l], run.weights[l]);
+    EXPECT_TRUE(w_div.ok()) << what << " layer " << l << ": " << w_div.report();
+  }
+}
+
 TEST(Determinism, MlpTrainingBitwiseAcrossSeedsAndThreads) {
   const data::SyntheticMnist mnist;
   const data::Dataset ds = mnist.train_set(64);
@@ -72,19 +89,22 @@ TEST(Determinism, MlpTrainingBitwiseAcrossSeedsAndThreads) {
     const TrainResult base = run_training(seed, 1, ds);
     for (std::size_t threads : kThreadCounts) {
       if (threads == 1) continue;
-      const TrainResult run = run_training(seed, threads, ds);
-      const auto loss_div = first_divergence(
-          as_row(std::span<const float>(base.losses)),
-          as_row(std::span<const float>(run.losses)));
-      EXPECT_TRUE(loss_div.ok()) << "seed " << seed << " threads " << threads
-                                 << ": " << loss_div.report();
-      ASSERT_EQ(base.weights.size(), run.weights.size());
-      for (std::size_t l = 0; l < base.weights.size(); ++l) {
-        const auto w_div = first_divergence(base.weights[l], run.weights[l]);
-        EXPECT_TRUE(w_div.ok()) << "seed " << seed << " threads " << threads
-                                << " layer " << l << ": " << w_div.report();
-      }
+      expect_same_training(base, run_training(seed, threads, ds),
+                           "seed " + std::to_string(seed) + " threads " +
+                               std::to_string(threads));
     }
+  }
+  // Batched training (matmul / matmul_nt / matmul_tn_acc) trains the same
+  // weights on every backend.
+  const TrainResult ref = [&] {
+    testkit::BackendScope pin("reference");
+    return run_training(1, 1, ds);
+  }();
+  for (const core::KernelBackend* backend : core::available_backends()) {
+    if (backend == core::find_backend("reference")) continue;
+    testkit::BackendScope pin(backend->name());
+    expect_same_training(ref, run_training(1, 1, ds),
+                         std::string("backend ") + backend->name());
   }
 }
 
@@ -132,6 +152,18 @@ DlrmResult run_dlrm(std::uint64_t seed, std::size_t threads,
   return r;
 }
 
+void expect_same_dlrm(const DlrmResult& base, const DlrmResult& run,
+                      const std::string& what) {
+  for (const auto& [name, lhs, rhs] :
+       {std::tuple{"serve", &base.serve_probs, &run.serve_probs},
+        std::tuple{"train-loss", &base.losses, &run.losses},
+        std::tuple{"post-train serve", &base.after_probs, &run.after_probs}}) {
+    const auto div = first_divergence(as_row(std::span<const float>(*lhs)),
+                                      as_row(std::span<const float>(*rhs)));
+    EXPECT_TRUE(div.ok()) << what << " " << name << ": " << div.report();
+  }
+}
+
 // The recsys leg of the contract: batched DLRM serving AND a training epoch
 // (sparse embedding updates included) are bitwise-stable across thread
 // counts. Serving uses the GEMM paths directly; training exercises the
@@ -144,17 +176,20 @@ TEST(Determinism, DlrmServeAndTrainBitwiseAcrossSeedsAndThreads) {
   Rng data_rng(11);
   const std::vector<data::ClickSample> samples = gen.batch(32, data_rng);
   for (std::uint64_t seed : kSeeds) {
-    const DlrmResult base = run_dlrm(seed, 1, samples);
-    const DlrmResult run = run_dlrm(seed, 8, samples);
-    for (const auto& [name, lhs, rhs] :
-         {std::tuple{"serve", &base.serve_probs, &run.serve_probs},
-          std::tuple{"train-loss", &base.losses, &run.losses},
-          std::tuple{"post-train serve", &base.after_probs, &run.after_probs}}) {
-      const auto div = first_divergence(as_row(std::span<const float>(*lhs)),
-                                        as_row(std::span<const float>(*rhs)));
-      EXPECT_TRUE(div.ok())
-          << "seed " << seed << " " << name << ": " << div.report();
-    }
+    expect_same_dlrm(run_dlrm(seed, 1, samples), run_dlrm(seed, 8, samples),
+                     "seed " + std::to_string(seed));
+  }
+  // Per-sample train_step (matvec / matvec_transposed / rank1_update)
+  // trains the same model on every backend.
+  const DlrmResult ref = [&] {
+    testkit::BackendScope pin("reference");
+    return run_dlrm(1, 1, samples);
+  }();
+  for (const core::KernelBackend* backend : core::available_backends()) {
+    if (backend == core::find_backend("reference")) continue;
+    testkit::BackendScope pin(backend->name());
+    expect_same_dlrm(ref, run_dlrm(1, 1, samples),
+                     std::string("backend ") + backend->name());
   }
 }
 

@@ -169,10 +169,10 @@ TEST(ShardRouter, RoutingIsPureAcrossRunsThreadsAndBackends) {
   // routing function must not see.
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
     testkit::ThreadScope scope(threads);
-    for (const char* backend : {"reference", "blocked"}) {
-      testkit::BackendScope bscope(backend);
+    for (const core::KernelBackend* backend : core::available_backends()) {
+      testkit::BackendScope bscope(backend->name());
       EXPECT_EQ(route_all(ShardRouter(4), keys), expect)
-          << "threads=" << threads << " backend=" << backend;
+          << "threads=" << threads << " backend=" << backend->name();
     }
   }
 }

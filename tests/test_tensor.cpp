@@ -224,24 +224,23 @@ TEST(Ops, Col2ImIsAdjointOfIm2Col) {
 }
 
 // --------------------------------------------------------------------------
-// Blocked/parallel kernels vs. naive references: the optimized kernels are
-// documented to be *bitwise* identical (same per-element accumulation order,
-// and the tree-wide -ffp-contract=off), including on ragged shapes that
-// exercise every remainder path of the blocking.
+// Optimized kernels vs. naive references: every backend computes each output
+// as the same k-ordered std::fmaf chain, so the dispatched kernels are
+// *bitwise* identical to the references, including on ragged shapes that
+// exercise every remainder path of the vector tiling and packing.
 // --------------------------------------------------------------------------
 
 struct KernelShape {
   std::size_t m, k, n;
 };
 
-// Pinned to the blocked backend: these tests assert the *blocked* kernels are
-// bitwise-equal to the reference oracles, which only holds there (the simd
-// backend is bounded-ULP by contract; its differential coverage lives in
-// test_backends.cpp). Without the pin, the ambient ENW_BACKEND / cpuid
-// auto-detection would decide what "matmul" means.
+// Pinned to `auto` (simd on a capable host, else reference): the dispatched
+// kernels must be the oracles' bits whatever ENW_BACKEND says, so the pin
+// keeps the ambient selection from deciding what "matmul" means. Every
+// registered backend is swept against the oracles in test_backends.cpp.
 class KernelEquivalenceTest : public ::testing::TestWithParam<KernelShape> {
  protected:
-  void SetUp() override { core::set_backend("blocked"); }
+  void SetUp() override { core::set_backend("auto"); }
   void TearDown() override { core::reset_backend_selection(); }
 };
 

@@ -237,19 +237,19 @@ TEST(Differential, OneThreadVsEightIsBitwise) {
 }
 
 TEST(Differential, BlockedKernelVsReferenceIsBitwise) {
-  // Bitwise blocked-vs-reference only holds on the blocked backend; under
-  // the ambient default (simd on capable hosts) matmul means FMA kernels.
-  testkit::BackendScope backend("blocked");
+  // The optimized kernels `auto` selects (simd on capable hosts) run the
+  // reference's k-ordered FMA chains, so they agree with it bitwise.
+  testkit::BackendScope backend("auto");
   Rng rng(23);
   const Matrix a = testkit::random_matrix(rng, 37, 45);
   const Matrix b = testkit::random_matrix(rng, 45, 31);
   const Vector x = testkit::random_vector(rng, 45);
   const auto mm = differential_check(
-      "blocked", [&] { return matmul(a, b); },
+      "auto", [&] { return matmul(a, b); },
       "reference", [&] { return matmul_reference(a, b); });
   EXPECT_TRUE(mm.ok()) << mm.report();
   const auto mv = differential_check(
-      "blocked", [&] { return as_row(matvec(a, x)); },
+      "auto", [&] { return as_row(matvec(a, x)); },
       "reference", [&] { return as_row(matvec_reference(a, x)); });
   EXPECT_TRUE(mv.ok()) << mv.report();
 }
